@@ -98,10 +98,10 @@ BENCHMARK(BM_TxnContendedCommit)->Threads(2)->Threads(4)->Threads(8);
 
 // Read-mostly transactions next to an unrelated writer: thread 0 commits
 // write transactions on a private word, the rest run 32-word read-only
-// transactions over untouched data. Under EpochMode::Tick every writer
-// commit forces the readers to revalidate their whole read set; under
-// EpochMode::Sampled the readers never notice the writer.
-void ReadMostlyLoop(benchmark::State& state) {
+// transactions over untouched data. Reads poll no global clock, so the
+// writer costs a reader at most one incremental extension at its
+// read-only commit.
+void BM_TxnReadMostly(benchmark::State& state) {
   static std::uint64_t data[32] = {};
   static util::CacheAligned<std::uint64_t> writer_word;
   if (state.thread_index() == 0) {
@@ -121,24 +121,7 @@ void ReadMostlyLoop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_TxnReadMostlyTick(benchmark::State& state) { ReadMostlyLoop(state); }
-BENCHMARK(BM_TxnReadMostlyTick)->Threads(4);
-
-void SetSampledMode(const benchmark::State&) {
-  htm::config().epoch_mode.store(htm::EpochMode::Sampled);
-}
-void RestoreTickMode(const benchmark::State&) {
-  htm::config().epoch_mode.store(htm::EpochMode::Tick);
-}
-
-void BM_TxnReadMostlySampled(benchmark::State& state) {
-  ReadMostlyLoop(state);
-}
-BENCHMARK(BM_TxnReadMostlySampled)
-    ->Threads(4)
-    ->Setup(SetSampledMode)
-    ->Teardown(RestoreTickMode);
+BENCHMARK(BM_TxnReadMostly)->Threads(4);
 
 void BM_UninstrumentedRead(benchmark::State& state) {
   static std::uint64_t data[64] = {};

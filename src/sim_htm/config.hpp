@@ -22,30 +22,26 @@ inline constexpr std::size_t kOrecCount = std::size_t{1} << kOrecCountLog2;
 // figure workloads, so the window stays at 4; see DESIGN.md §8.
 inline constexpr std::size_t kReadDedupWindow = 4;
 
-// How transactional reads detect that their snapshot may have gone stale
-// (see DESIGN.md §8 "Epoch modes"). Orec versions are derived from one
-// global version clock in both modes, so the modes interoperate and can be
-// switched whenever no transaction is in flight.
-//
-//   * Tick    — every read polls the global clock and fully revalidates the
-//               read set whenever *any* writer committed since the snapshot
-//               (the original, maximally conservative behaviour; read-mostly
-//               transactions pay O(read-set) per unrelated writer commit).
-//   * Sampled — GV-style: a read revalidates only when it actually observes
-//               a version newer than its snapshot, or when the rare-event
-//               strong clock (lock acquisitions / strong stores) moved.
-//               Unrelated writer commits cost read-mostly transactions
-//               nothing, and read-only transactions commit without a final
-//               validation pass.
-enum class EpochMode : std::uint8_t { Tick = 0, Sampled = 1 };
+// Bound on how long htm::read waits for an orec held by another thread
+// before aborting with Conflict, in re-load + util::cpu_relax iterations.
+// An orec is held only for the few hundred ns of a commit write-back or a
+// strong store; RTM commits atomically, so a reader there never sees one
+// half done and never aborts for it. Waiting one write-back out keeps that
+// property for the common case instead of wasting the whole transaction.
+// 64 iterations measure ≈ 1.1 µs on a 2.1 GHz Xeon (one orec load plus a
+// `pause`, ≈ 18 ns each): enough for a write-back under load (hcfbench's
+// sim_htm.write_commit_ns.loaded measured 575–704 ns there), while a
+// preempted holder costs the reader no more than that before it falls back
+// to the abort. On cores with a short `pause` (≈ 10 cycles) the bound
+// shrinks to ≈ 0.3 µs. Commit-time orec acquisition never waits: committers
+// hold orecs, so it could deadlock.
+inline constexpr std::uint32_t kReadLockedOrecSpins = 64;
 
 struct Config {
   // Maximum tracked read locations per transaction (≈ L1 lines on RTM).
   std::atomic<std::size_t> read_capacity{8192};
   // Maximum buffered writes per transaction.
   std::atomic<std::size_t> write_capacity{2048};
-  // Snapshot-staleness detection mode, latched per transaction at begin.
-  std::atomic<EpochMode> epoch_mode{EpochMode::Tick};
 };
 
 Config& config() noexcept;
@@ -69,24 +65,6 @@ class ScopedCapacity {
  private:
   std::size_t old_reads_;
   std::size_t old_writes_;
-};
-
-// RAII helper: temporarily overrides the epoch mode. Only switch while no
-// transaction is in flight (each transaction latches the mode at begin; a
-// mid-run switch is safe for *new* transactions but makes stats and abort
-// behaviour a mix of both modes).
-class ScopedEpochMode {
- public:
-  explicit ScopedEpochMode(EpochMode m) noexcept
-      : old_(config().epoch_mode.load()) {
-    config().epoch_mode.store(m);
-  }
-  ~ScopedEpochMode() { config().epoch_mode.store(old_); }
-  ScopedEpochMode(const ScopedEpochMode&) = delete;
-  ScopedEpochMode& operator=(const ScopedEpochMode&) = delete;
-
- private:
-  EpochMode old_;
 };
 
 }  // namespace hcf::htm

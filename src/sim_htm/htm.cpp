@@ -31,7 +31,7 @@ std::atomic<std::uint64_t>* orec_table() noexcept {
 
 // Each global clock gets a private cache line: the version clock is the
 // single hottest shared word in the system and must not false-share with
-// the drain counter or the (read-mostly) strong clock.
+// the (read-mostly) strong clock.
 std::atomic<std::uint64_t>& global_clock() noexcept {
   static util::CacheAligned<std::atomic<std::uint64_t>> clock;
   return clock.value;
@@ -42,9 +42,12 @@ std::atomic<std::uint64_t>& strong_clock() noexcept {
   return clock.value;
 }
 
-std::atomic<std::uint64_t>& writeback_count() noexcept {
-  static util::CacheAligned<std::atomic<std::uint64_t>> count;
-  return count.value;
+// Per-thread flags, each on its own line: a commit writes only its own
+// line instead of two RMWs on one shared counter.
+std::atomic<std::uint32_t>& writeback_flag(std::size_t tid) noexcept {
+  static util::CacheAligned<std::atomic<std::uint32_t>>
+      flags[util::kMaxThreads];
+  return flags[tid].value;
 }
 
 Txn& txn() noexcept {
@@ -119,15 +122,9 @@ void begin_txn(Txn& t) {
   t.depth = 1;
   t.tid = util::this_thread_id();
   t.last_abort = AbortCode::None;
-  t.mode = config().epoch_mode.load(std::memory_order_relaxed);
   t.reset_logs();
   t.snapshot_epoch = global_clock().load(std::memory_order_acquire);
-  // Only Sampled-mode reads poll the strong clock; Tick transactions skip
-  // the extra cross-line load (extend_snapshot refreshes snapshot_strong
-  // itself whenever it runs).
-  t.snapshot_strong = t.mode == EpochMode::Sampled
-                          ? strong_clock().load(std::memory_order_acquire)
-                          : 0;
+  t.snapshot_strong = strong_clock().load(std::memory_order_acquire);
   t.validated_epoch = t.snapshot_epoch;
   t.validated_count = 0;
   stats().starts.add();
@@ -242,18 +239,16 @@ void commit_txn(Txn& t) {
   protocol::check_commit_subscription(t.subscribed);
 
   if (t.write_set.empty()) {
-    if (t.mode == EpochMode::Tick) {
-      // Read-only, Tick: the per-read clock checks kept the snapshot
-      // consistent; a final validation is needed only if the clock moved
-      // since (and then only for entries not already validated at it).
-      if (global_clock().load(std::memory_order_acquire) !=
-          t.snapshot_epoch) {
-        extend_snapshot(t);
-      }
+    // Read-only. Every read proved version ≤ snapshot with the strong clock
+    // unchanged, so the read set is already consistent at the snapshot and
+    // could serialize there. It extends anyway if any commit happened since
+    // (and then only over entries not yet validated at that clock): on RTM
+    // a committed write to a line in the read set aborts the reader at
+    // once, so a reader that overlapped a conflicting writer must not
+    // commit. HtmConflict.WriteInvalidatesConcurrentReader pins this.
+    if (global_clock().load(std::memory_order_acquire) != t.snapshot_epoch) {
+      extend_snapshot(t);
     }
-    // Read-only, Sampled: every read individually proved version ≤ snapshot
-    // with the strong clock unchanged, so the read set is consistent at the
-    // snapshot and the transaction serializes there — no validation at all.
     stats().read_only_commits.add();
     finish_commit_bookkeeping(t);
     telemetry::htm_commit(/*read_only=*/true);
@@ -264,21 +259,25 @@ void commit_txn(Txn& t) {
 
   // Register as a write-back in progress *before* the final validation:
   // elidable-lock acquirers first doom future validators (by bumping the
-  // lock word's orec) and then wait for this counter to drain, which
+  // lock word's orec) and then wait for every raised flag to clear, which
   // together guarantee no write-back overlaps under-lock execution.
-  writeback_count().fetch_add(1, std::memory_order_relaxed);
+  auto& flag = writeback_flag(t.tid);
+  flag.store(1, std::memory_order_relaxed);
   // seq_cst: Dekker/store-buffering pair with the fence in
-  // wait_writeback_drain(). Either the drainer's counter load observes our
-  // increment (it waits for our fetch_sub), or this fence follows the
-  // drainer's in the fence order and our validation below observes the
-  // lock word's bumped orec (stored before the drainer's fence) and
-  // aborts. acquire/release alone cannot order these two store→load pairs;
-  // see DESIGN.md §"Substrate performance" and
-  // HtmQuiescence.LockHolderNeverSeesPartialWriteback.
+  // wait_writeback_drain(). Either the drainer's scan observes our flag (it
+  // waits for us to clear it), or this fence follows the drainer's in the
+  // fence order and our validation below observes the lock word's bumped
+  // orec (stored before the drainer's fence) and aborts. The scan reaches
+  // our flag: this thread read a high-water mark above t.tid when it got
+  // its id (util::ThreadRegistry::acquire), before this fence, so the
+  // drainer's mark load after its fence cannot return a smaller value.
+  // acquire/release alone cannot order these two store→load pairs; see
+  // DESIGN.md §"Substrate performance" and
+  // Quiescence.LockHolderNeverSeesPartialWriteback.
   std::atomic_thread_fence(std::memory_order_seq_cst);
 
   // Draw the commit version. acq_rel: the release half publishes our orec
-  // locks (and counter increment) to the next clock RMW, the acquire half
+  // locks (and flag store) to the next clock RMW, the acquire half
   // imports every earlier committer's locks, making the fast path below
   // sound — two writers cannot both skip validation against each other.
   const std::uint64_t wv =
@@ -290,7 +289,7 @@ void commit_txn(Txn& t) {
   // will see our locks when it validates. The read set is trivially valid.
   if (wv != t.snapshot_epoch + 1 &&
       !validate_read_set(t, tx_lock_word(t.tid))) {
-    writeback_count().fetch_sub(1, std::memory_order_release);
+    flag.store(0, std::memory_order_release);
     release_acquired(t, /*new_word=*/0);
     throw_abort(AbortCode::Conflict);
   }
@@ -302,11 +301,10 @@ void commit_txn(Txn& t) {
   // new version finds the clock at ≥ wv and revalidates against it.
   release_acquired(t, /*new_word=*/wv << 1);
   // Publish the completed write-back to lock acquirers spinning in
-  // wait_writeback_drain (they HCF_TSAN_ACQUIRE the counter on exit).
-  HCF_TSAN_RELEASE(&writeback_count());
-  // release: the drainer's acquire load of 0 imports our write-back (the
-  // RMW release sequence keeps this intact across interleaved committers).
-  writeback_count().fetch_sub(1, std::memory_order_release);
+  // wait_writeback_drain (they HCF_TSAN_ACQUIRE each scanned flag).
+  HCF_TSAN_RELEASE(&flag);
+  // release: the drainer's acquire load of 0 imports our write-back.
+  flag.store(0, std::memory_order_release);
 
   finish_commit_bookkeeping(t);
   telemetry::htm_commit(/*read_only=*/false);
@@ -329,6 +327,16 @@ void abort_cleanup(Txn& t, AbortCode code) noexcept {
   // The transaction is torn down (t.active is false): recording here is a
   // plain per-thread side effect, not an in-transaction call.
   telemetry::htm_abort(static_cast<int>(code));
+}
+
+std::uint64_t wait_out_locked_orec(std::atomic<std::uint64_t>& orec) {
+  for (std::uint32_t i = 0; i < kReadLockedOrecSpins; ++i) {
+    util::cpu_relax();
+    // acquire: same role as read()'s first orec load, which this replaces.
+    const std::uint64_t cur = orec.load(std::memory_order_acquire);
+    if (!is_locked(cur)) return cur;
+  }
+  throw_abort(AbortCode::Conflict);
 }
 
 StrongOrecCap& strong_orec_cap() noexcept {
@@ -377,7 +385,7 @@ void strong_unlock_orec(std::atomic<std::uint64_t>& orec, std::uint64_t ver,
     // the orec release, so any transaction that can observe the new value
     // must revalidate. The strong clock moves second but still before the
     // orec release and before the caller's subsequent uninstrumented
-    // stores, which is what Sampled-mode readers poll.
+    // stores, which is what readers poll.
     const std::uint64_t wv =
         global_clock().fetch_add(1, std::memory_order_acq_rel) + 1;
     strong_clock().fetch_add(1, std::memory_order_acq_rel);
@@ -394,25 +402,28 @@ void strong_unlock_orec(std::atomic<std::uint64_t>& orec, std::uint64_t ver,
 void wait_writeback_drain() noexcept {
   // seq_cst: Dekker/store-buffering pair with the fence in commit_txn().
   // Our caller already stored the doom (bumped lock-word orec) before
-  // calling; this fence orders that store before the counter loads below,
-  // so every committer either sees the doom during validation or is seen
-  // here and drained. See DESIGN.md §"Substrate performance".
+  // calling; this fence orders that store before the mark and flag loads
+  // below, so every committer either sees the doom during validation or is
+  // seen here and drained. See DESIGN.md §"Substrate performance".
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  auto& count = detail::writeback_count();
-  if (count.load(std::memory_order_acquire) != 0) {
-    // Write-backs are a bounded store loop, so the drain is short; the
-    // small cap bounds added lock-acquisition latency while still taking
-    // the counter line out of the spin loop's cache traffic.
-    util::ExpBackoff backoff(
-        util::this_thread_id() * 0x9e3779b97f4a7c15ULL + 1,
-        /*min_spins=*/4, /*max_spins=*/128);
-    do {
-      backoff.pause();
-    } while (count.load(std::memory_order_acquire) != 0);
+  const std::size_t n = util::ThreadRegistry::instance().high_water();
+  for (std::size_t tid = 0; tid < n; ++tid) {
+    auto& flag = detail::writeback_flag(tid);
+    if (flag.load(std::memory_order_acquire) != 0) {
+      // Write-backs are a bounded store loop, so the drain is short; the
+      // small cap bounds added lock-acquisition latency while still taking
+      // the flag line out of the spin loop's cache traffic.
+      util::ExpBackoff backoff(
+          util::this_thread_id() * 0x9e3779b97f4a7c15ULL + 1,
+          /*min_spins=*/4, /*max_spins=*/128);
+      do {
+        backoff.pause();
+      } while (flag.load(std::memory_order_acquire) != 0);
+    }
+    // Quiescence gate: everything written back by a drained transaction is
+    // now visible to this (lock-holding) thread's uninstrumented accesses.
+    HCF_TSAN_ACQUIRE(&flag);
   }
-  // Quiescence gate: everything written back by the drained transactions is
-  // now visible to this (lock-holding) thread's uninstrumented accesses.
-  HCF_TSAN_ACQUIRE(&count);
 }
 
 }  // namespace hcf::htm

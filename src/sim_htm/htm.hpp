@@ -10,13 +10,15 @@
 // global version clock.
 //
 //   * tx reads validate the orec version around the value load and record
-//     it in a read set; snapshot staleness is detected against the global
-//     version clock and repaired by read-set revalidation ("snapshot
-//     extension"), giving opacity (no zombie execution) in the style of
-//     LSA/TL2. Two detection policies are available (config.hpp):
-//     EpochMode::Tick polls the clock on every read, EpochMode::Sampled
-//     revalidates only when a read observes a version newer than its
-//     snapshot or the rare-event strong clock moved.
+//     it in a read set. A read revalidates the read set ("snapshot
+//     extension") only on evidence that its snapshot went stale: an orec
+//     version newer than the snapshot, or movement of the rare-event strong
+//     clock. That gives opacity (no zombie execution) in the style of
+//     LSA/TL2 without polling the global clock per read. A read-only commit
+//     extends once if the global clock moved since the snapshot, which
+//     keeps RTM's eager invalidation of readers by committed writers. A
+//     read that meets an orec held by another thread's write-back waits
+//     it out for a bounded spin (config.hpp) before aborting.
 //   * tx writes are buffered; memory is only touched during commit
 //     write-back, after the write orecs are acquired and the read set
 //     validated. Non-instrumented code (a thread holding the elided lock)
@@ -28,8 +30,9 @@
 //     orec protocol via TxCell (txcell.hpp), so they doom overlapping
 //     transactions exactly like a cache-line invalidation would on real HTM.
 //   * lock acquirers call wait_writeback_drain() after dooming subscribers,
-//     closing the race with transactions already past validation (see
-//     DESIGN.md, "quiescence gate").
+//     closing the race with transactions already past validation: each
+//     committer raises a per-thread in-write-back flag and the drain scans
+//     the flags (see DESIGN.md, "quiescence gate").
 //
 // Memory ordering: the substrate runs on acquire/release pairs; the only
 // seq_cst operations are the two fences forming the quiescence gate's
@@ -104,11 +107,15 @@ inline std::uint64_t orec_version(std::uint64_t word) noexcept {
 // writer commit and strong store *before* the corresponding orecs are
 // released, so an orec can never expose a version the clock has not reached.
 // strong_clock: counts only strong stores / lock-word transitions — the
-// rare events Sampled-mode readers must poll for (lock holders write
-// uninstrumented data that leaves no orec evidence).
+// rare events readers must poll for (lock holders write uninstrumented
+// data that leaves no orec evidence).
 std::atomic<std::uint64_t>& global_clock() noexcept;
 std::atomic<std::uint64_t>& strong_clock() noexcept;
-std::atomic<std::uint64_t>& writeback_count() noexcept;
+
+// In-write-back flag of thread id `tid` (< util::kMaxThreads), one per
+// cache line: nonzero from just before the committer's final validation
+// until its write-back is released. wait_writeback_drain() scans them.
+std::atomic<std::uint32_t>& writeback_flag(std::size_t tid) noexcept;
 
 // ---- Transaction descriptor ----------------------------------------------
 struct ReadEntry {
@@ -155,8 +162,6 @@ struct alignas(util::kCacheLineSize) Txn {
   // checker's commit check. Maintained unconditionally (one byte, one
   // store per subscription) so all build flavours share one Txn layout.
   bool subscribed = false;
-  // Snapshot-staleness policy, latched from config() at begin.
-  EpochMode mode = EpochMode::Tick;
   // 64 - log2(windex slots): hash >> shift is the probe start.
   std::uint8_t windex_shift = kWindexInitialShift;
   std::uint32_t depth = 0;
@@ -212,8 +217,9 @@ Txn& txn() noexcept;
 // the caller's commit lock word if the caller holds orecs (0 otherwise).
 bool validate_read_set(Txn& t, std::uint64_t self_tag) noexcept;
 
-// Revalidates after observing evidence of a newer snapshot (clock moved /
-// newer orec version / strong clock moved); aborts (throws) on failure.
+// Revalidates after observing evidence of a newer snapshot (newer orec
+// version / strong clock moved / clock moved at read-only commit); aborts
+// (throws) on failure.
 // Keeps opacity. Incremental: entries already validated at the current
 // clock value are skipped.
 void extend_snapshot(Txn& t);
@@ -221,6 +227,11 @@ void extend_snapshot(Txn& t);
 void begin_txn(Txn& t);
 void commit_txn(Txn& t);                // throws TxAbort on validation failure
 void abort_cleanup(Txn& t, AbortCode code) noexcept;
+
+// Cold path of read(): re-loads an orec another thread holds for up to
+// kReadLockedOrecSpins relax iterations. Returns the first unlocked word
+// seen; aborts (throws) Conflict if the orec is still held at the bound.
+std::uint64_t wait_out_locked_orec(std::atomic<std::uint64_t>& orec);
 
 // Rebuilds the write-set index at double capacity (cold path).
 void windex_grow(Txn& t);
@@ -334,16 +345,15 @@ inline T read(const T* addr) {
     // stable even version implies the whole write-back of that version
     // happened-before our value load.
     v1 = orec.load(std::memory_order_acquire);
-    if (detail::is_locked(v1)) detail::throw_abort(AbortCode::Conflict);
+    if (detail::is_locked(v1)) v1 = detail::wait_out_locked_orec(orec);
     value = detail::atomic_load_acquire(addr);
     // acquire: if the value load ingested a committer's release store, the
     // committer's earlier orec lock CAS is visible here, so v2 reads locked
     // (or a newer version) and we abort instead of keeping a torn read.
     const std::uint64_t v2 = orec.load(std::memory_order_acquire);
     if (v1 != v2) detail::throw_abort(AbortCode::Conflict);
-    if (t.mode == EpochMode::Tick) break;
-    // Sampled: revalidate only on actual evidence of staleness — a version
-    // newer than our snapshot, or movement of the rare-event strong clock
+    // Revalidate only on actual evidence of staleness — a version newer
+    // than our snapshot, or movement of the rare-event strong clock
     // (checked *after* the value load so a lock holder's uninstrumented
     // store can never be ingested without the strong bump being visible).
     if (detail::orec_version(v1) > t.snapshot_epoch) {
@@ -379,14 +389,6 @@ inline T read(const T* addr) {
       detail::throw_abort(AbortCode::Capacity);
     }
     t.read_set.push_back({&orec, v1});
-  }
-
-  if (t.mode == EpochMode::Tick) {
-    // Opacity, Tick policy: if anyone committed since our snapshot, make
-    // sure everything we have read is still mutually consistent.
-    const std::uint64_t c =
-        detail::global_clock().load(std::memory_order_acquire);
-    if (c != t.snapshot_epoch) detail::extend_snapshot(t);
   }
   return value;
 }
@@ -574,7 +576,8 @@ inline T strong_exchange(T* addr, T value) noexcept {
 // Blocks until no transaction is inside commit write-back. Called by
 // elidable-lock acquirers after the lock word is set: every transaction
 // validating after that point sees the bumped lock orec and aborts, and
-// this wait flushes the ones that had already validated.
+// this wait flushes the ones that had already validated. Scans one
+// in-write-back flag per thread id below util::ThreadRegistry::high_water().
 void wait_writeback_drain() noexcept;
 
 // Called by elidable-lock subscribe() implementations (sync/tx_lock.hpp):

@@ -19,8 +19,9 @@ struct Stats {
   util::Counter tx_reads;
   util::Counter tx_writes;
   util::Counter strong_stores;
-  // Read-set revalidations (snapshot extensions). The Tick/Sampled epoch
-  // modes trade these off against per-read clock polling; see config.hpp.
+  // Read-set revalidations (snapshot extensions): on a read that sees a
+  // version newer than its snapshot or a moved strong clock, and on a
+  // read-only commit after the global clock moved; see DESIGN.md §8.3.
   util::Counter snapshot_extensions;
   // Protocol-checker violation counters (sim_htm/protocol_check.hpp).
   // Always present so release and checker builds share one layout; only

@@ -2,11 +2,19 @@
 // interaction of the simulated HTM.
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "sim_htm/htm.hpp"
+#include "sim_htm/stats.hpp"
 #include "sim_htm/txcell.hpp"
 #include "sync/tx_lock.hpp"
 #include "util/backoff.hpp"
@@ -87,6 +95,123 @@ TEST(HtmConflict, WriteInvalidatesConcurrentReader) {
   ASSERT_TRUE(attempt([&] { write(&x, std::uint64_t{1}); }));
   stage.store(2);
   reader.join();
+}
+
+// A read that meets an orec held by another thread waits it out for a
+// bounded spin (config.hpp, kReadLockedOrecSpins). The holder here is a
+// helper thread inside detail::strong_lock_orec, standing in for a
+// committer mid-write-back.
+std::uint64_t conflict_aborts(const StatsSnapshot& d) {
+  return d.aborts[static_cast<std::size_t>(AbortCode::Conflict)];
+}
+
+// CPUs this process may run on (empty where affinity is unsupported).
+std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &set)) cpus.push_back(c);
+    }
+  }
+#endif
+  return cpus;
+}
+
+void pin_to(int cpu) {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(set), &set), 0);
+#else
+  (void)cpu;
+#endif
+}
+
+TEST(HtmConflict, ReadWaitsOutOrecReleasedWithinBound) {
+  // The holder must run while the reader spins; sharing one CPU it would
+  // run only after the reader gave up. So each gets a CPU of its own.
+  const std::vector<int> cpus = allowed_cpus();
+  if (cpus.size() < 2) GTEST_SKIP() << "needs two CPUs";
+  alignas(64) static std::uint64_t x;
+  alignas(64) static std::uint64_t warm;
+  auto& orec = detail::orec_for(&x);
+  // The holder releases as soon as it sees the reader start its read, far
+  // inside the bound. Only a holder delayed past the bound (preempted, or
+  // slowed by instrumentation) makes the reader abort; such a round proves
+  // nothing either way and is repeated for up to two seconds, long enough
+  // to outlast any scheduling burst. Without the wait-out every round
+  // aborts.
+  const int reader_cpu = cpus[cpus.size() - 2];
+  const int holder_cpu = cpus[cpus.size() - 1];
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  bool committed = false;
+  while (!committed && std::chrono::steady_clock::now() < deadline) {
+    x = 1;
+    std::atomic<int> stage{0};
+    std::thread holder([&] {
+      pin_to(holder_cpu);
+      // Runs the release path once first: its first run on a new thread
+      // pays one-off costs (cold lines; sanitizer fake-stack set-up, tens
+      // of µs) that would otherwise land inside the reader's wait.
+      strong_store(&warm, std::uint64_t{1});
+      const std::uint64_t ver = detail::strong_lock_orec(orec);
+      stage.store(1);
+      while (stage.load() != 2) util::cpu_relax();
+      detail::atomic_store_release(&x, std::uint64_t{2});
+      detail::strong_unlock_orec(orec, ver, /*bump=*/true);
+    });
+    StatsSnapshot before;
+    std::uint64_t seen = 0;
+    AbortCode code = AbortCode::None;
+    std::thread reader([&] {
+      pin_to(reader_cpu);
+      while (stage.load() != 1) util::cpu_relax();
+      before = StatsSnapshot::capture();
+      committed = attempt([&] {
+        stage.store(2);
+        seen = read(&x);
+      });
+      code = last_abort_code();
+    });
+    reader.join();
+    holder.join();
+    const auto d = StatsSnapshot::capture().delta_since(before);
+    if (!committed) {
+      EXPECT_EQ(code, AbortCode::Conflict);
+      continue;
+    }
+    EXPECT_EQ(seen, 2u);
+    EXPECT_EQ(conflict_aborts(d), 0u);
+    // The released orec carries a version above the reader's snapshot.
+    EXPECT_EQ(d.snapshot_extensions, 1u);
+  }
+  EXPECT_TRUE(committed);
+}
+
+TEST(HtmConflict, ReadAbortsOnOrecHeldPastBound) {
+  alignas(64) static std::uint64_t x;
+  auto& orec = detail::orec_for(&x);
+  std::atomic<int> stage{0};
+  std::thread holder([&] {
+    const std::uint64_t ver = detail::strong_lock_orec(orec);
+    stage.store(1);
+    while (stage.load() != 2) util::cpu_relax();
+    detail::strong_unlock_orec(orec, ver, /*bump=*/false);
+  });
+  while (stage.load() != 1) util::cpu_relax();
+  const auto before = StatsSnapshot::capture();
+  const bool ok = attempt([&] { (void)read(&x); });
+  stage.store(2);  // the holder releases only after the reader gave up
+  holder.join();
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(last_abort_code(), AbortCode::Conflict);
+  EXPECT_EQ(conflict_aborts(StatsSnapshot::capture().delta_since(before)),
+            1u);
 }
 
 TEST(HtmConflict, StrongStoreInvalidatesConcurrentReader) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "sim_htm/txcell.hpp"
 #include "sync/tx_lock.hpp"
 #include "util/backoff.hpp"
+#include "util/thread_id.hpp"
 
 namespace hcf::htm {
 namespace {
@@ -130,6 +132,59 @@ TEST(Quiescence, LockHolderPlainWritesNeverLost) {
 TEST(Quiescence, DrainReturnsPromptlyWhenIdle) {
   wait_writeback_drain();  // no writers: must not block
   SUCCEED();
+}
+
+TEST(Quiescence, DrainCoversCommitterRegisteredAfterFirstDrain) {
+  // The drain scans flags only below the thread registry's high-water
+  // mark. A committer whose id is above every id in use at the drainer's
+  // first drain must still be waited for: the mark is re-read per drain.
+  auto& reg = util::ThreadRegistry::instance();
+  (void)util::this_thread_id();
+  std::atomic<int> stage{0};
+  std::atomic<bool> second_drain_done{false};
+  std::thread drainer([&] {
+    (void)util::this_thread_id();  // lock acquirers are registered threads
+    wait_writeback_drain();  // first drain: the committer does not exist
+    stage.store(1);
+    while (stage.load() != 2) util::cpu_relax();
+    wait_writeback_drain();
+    second_drain_done.store(true);
+  });
+  while (stage.load() != 1) util::cpu_relax();
+  // Occupy every free id below the mark the first drain read, so the
+  // committer registers above all of them.
+  const std::size_t first_mark = reg.high_water();
+  std::vector<std::size_t> held;
+  for (;;) {
+    const std::size_t id = reg.acquire();
+    if (id >= first_mark) {
+      reg.release(id);
+      break;
+    }
+    held.push_back(id);
+  }
+  std::atomic<std::size_t> committer_id{0};
+  std::atomic<bool> release{false};
+  std::thread committer([&] {
+    // Stands in for a committer between its pre-validation fence and the
+    // end of its write-back.
+    const std::size_t tid = util::this_thread_id();
+    committer_id.store(tid);
+    auto& flag = detail::writeback_flag(tid);
+    flag.store(1);
+    stage.store(2);
+    while (!release.load()) util::cpu_relax();
+    flag.store(0);
+  });
+  while (stage.load() != 2) util::cpu_relax();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_GE(committer_id.load(), first_mark);
+  EXPECT_FALSE(second_drain_done.load()) << "drain skipped a live flag";
+  release.store(true);
+  committer.join();
+  drainer.join();
+  EXPECT_TRUE(second_drain_done.load());
+  for (const std::size_t id : held) reg.release(id);
 }
 
 TEST(Quiescence, FairLockAlsoGates) {

@@ -94,7 +94,14 @@ TEST(ParkWake, StatsCountParksAndWakes) {
   std::thread waiter([&] {
     while (word.load(std::memory_order_acquire) == 0) park(word, 0u);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Release the waiter only once it has counted a park: a fixed sleep
+  // loses the race when the waiter thread is scheduled late, and then it
+  // sees the word already changed and never parks. park() counts before
+  // it enters the kernel wait, whose equality check makes the wake below
+  // safe whether or not the waiter is asleep yet.
+  while (park_stats().parks.total() == parks_before) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
   word.store(1, std::memory_order_release);
   wake_all(word);
   waiter.join();

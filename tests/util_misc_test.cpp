@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <thread>
@@ -56,6 +57,51 @@ TEST(ThreadId, RecycledAfterThreadExit) {
     });
     t.join();
   }
+}
+
+TEST(ThreadId, HighWaterMarkIsMonotoneAndCoversRecycledIds) {
+  auto& reg = ThreadRegistry::instance();
+  const std::size_t main_id = this_thread_id();
+  std::size_t mark = reg.high_water();
+  EXPECT_GT(mark, main_id);
+  // Sequential threads reuse ids; each must still sit below the mark.
+  for (int i = 0; i < 2 * static_cast<int>(kMaxThreads); ++i) {
+    std::size_t id = kMaxThreads;
+    std::size_t seen = 0;
+    std::thread t([&] {
+      id = this_thread_id();
+      seen = reg.high_water();
+    });
+    t.join();
+    EXPECT_LT(id, seen);
+    EXPECT_GE(reg.high_water(), mark);
+    mark = reg.high_water();
+  }
+  // Releasing never lowers the mark, and a recycled id stays covered.
+  const std::size_t a = reg.acquire();
+  const std::size_t b = reg.acquire();
+  const std::size_t top = reg.high_water();
+  EXPECT_GT(top, std::max(a, b));
+  reg.release(a);
+  reg.release(b);
+  EXPECT_EQ(reg.high_water(), top);
+  const std::size_t c = reg.acquire();
+  EXPECT_EQ(c, std::min(a, b));  // lowest free id is handed out again
+  EXPECT_LT(c, reg.high_water());
+  EXPECT_EQ(reg.high_water(), top);
+  reg.release(c);
+}
+
+TEST(ThreadIdDeathTest, ExhaustionAbortsInEveryBuild) {
+  // More claims than ids: the registry must abort, not spin or assert
+  // only in debug builds.
+  EXPECT_DEATH(
+      {
+        for (std::size_t i = 0; i <= kMaxThreads; ++i) {
+          (void)ThreadRegistry::instance().acquire();
+        }
+      },
+      "thread id space exhausted");
 }
 
 TEST(Counter, PerThreadAggregation) {
