@@ -121,16 +121,17 @@ struct CombineCore {
   // chooseOpsToHelp (paper §2.2): scan the publication array under the
   // selection lock; the caller's op is chosen unconditionally, every other
   // announced op is offered to should_help. Chosen ops are unpublished;
-  // when MarkBeingHelped they also transition to BeingHelped, dooming
+  // when MarkBeingHelped they also transition to BeingHelped, stopping
   // their owners' speculation (the single-holder variant skips the
   // transition — holding the selection lock for the whole combining phase
-  // is what dooms the owners there). The gather target is the caller's
-  // preallocated per-thread arena, so nothing allocates while the
-  // selection lock is held.
+  // is what dooms the owners there). The caller's own op transitions
+  // without moving the strong clock: nobody speculates on it. The gather
+  // target is the caller's preallocated per-thread arena, so nothing
+  // allocates while the selection lock is held.
   template <bool MarkBeingHelped>
   static void select_batch(Op& op, PubArray& pa, std::vector<Op*>& out,
                            EngineStats& stats) REQUIRES(pa.selection_lock()) {
-    if constexpr (MarkBeingHelped) op.mark_being_helped();
+    if constexpr (MarkBeingHelped) op.mark_own_being_helped();
     pa.clear_slot(util::this_thread_id());
     out.push_back(&op);
     const std::size_t words_skipped =

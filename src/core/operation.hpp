@@ -135,18 +135,23 @@ class Operation {
     status_.store_plain(static_cast<std::uint32_t>(OpStatus::Announced));
   }
 
-  // Combiner selection: dooms the owner's in-flight speculative attempt
-  // (strong store bumps the status word's orec). Idempotent: a rescan that
-  // offers an already-selected op skips the store — the owner was doomed by
-  // the first transition, and a redundant strong store would bump the orec
-  // again, aborting unrelated readers that subscribed to the word since.
+  // Combiner selection of another thread's op: dooms the owner's in-flight
+  // speculative attempt (the strong store bumps the status word's orec)
+  // and then moves the strong clock, so the owner stops at its next read
+  // instead of at commit. The stop is needed because adapters store op
+  // results with plain stores inside transaction bodies: a doomed owner
+  // that ran on would overwrite the result the combiner is about to store.
+  // Idempotent: a rescan that offers an already-selected op skips both —
+  // the owner was stopped by the first transition, and a redundant strong
+  // store would bump the orec again, aborting unrelated readers that
+  // subscribed to the word since.
   void mark_being_helped() noexcept {
-    if ((status_.load() & kStatusMask) ==
-        static_cast<std::uint32_t>(OpStatus::BeingHelped)) {
-      return;
-    }
-    status_.store(static_cast<std::uint32_t>(OpStatus::BeingHelped));
+    if (set_being_helped()) htm::detail::bump_strong_clock();
   }
+
+  // The combiner's own op: the same transition, without the strong-clock
+  // move — its owner is the combiner, which is not speculating on it.
+  void mark_own_being_helped() noexcept { (void)set_being_helped(); }
 
   // Completion: record where the op completed, then release the owner.
   // Plain release exchange — by this point the owner cannot be speculating
@@ -271,6 +276,16 @@ class Operation {
   // it. status()/status_tx() mask it out.
   static constexpr std::uint32_t kParkedBit = 0x8000'0000u;
   static constexpr std::uint32_t kStatusMask = ~kParkedBit;
+
+  // Strong BeingHelped transition; false (no store) if already there.
+  bool set_being_helped() noexcept {
+    if ((status_.load() & kStatusMask) ==
+        static_cast<std::uint32_t>(OpStatus::BeingHelped)) {
+      return false;
+    }
+    status_.store(static_cast<std::uint32_t>(OpStatus::BeingHelped));
+    return true;
+  }
 
   int class_id_;
   mutable htm::TxCell<std::uint32_t> status_{

@@ -383,12 +383,12 @@ void strong_unlock_orec(std::atomic<std::uint64_t>& orec, std::uint64_t ver,
   if (bump) {
     // Same discipline as commit: draw a fresh version (clock bump) before
     // the orec release, so any transaction that can observe the new value
-    // must revalidate. The strong clock moves second but still before the
-    // orec release and before the caller's subsequent uninstrumented
-    // stores, which is what readers poll.
+    // must revalidate. That orec evidence is all a reader needs to detect
+    // the store, so the strong clock does not move here: a transaction
+    // that read this word aborts when it next meets a newer version or
+    // validates at commit, like a reader of any committed write.
     const std::uint64_t wv =
         global_clock().fetch_add(1, std::memory_order_acq_rel) + 1;
-    strong_clock().fetch_add(1, std::memory_order_acq_rel);
     HCF_TSAN_RELEASE(&orec);
     orec.store(wv << 1, std::memory_order_release);
     return;
@@ -397,9 +397,22 @@ void strong_unlock_orec(std::atomic<std::uint64_t>& orec, std::uint64_t ver,
   orec.store(ver, std::memory_order_release);
 }
 
+void bump_strong_clock() noexcept {
+  // acq_rel: the release half orders the caller's earlier strong store
+  // (the doom a reader's extension must find) before the bump; a reader
+  // whose acquire poll observes the bump therefore validates against it.
+  strong_clock().fetch_add(1, std::memory_order_acq_rel);
+}
+
 }  // namespace detail
 
 void wait_writeback_drain() noexcept {
+  // Stop running subscribers before the holder writes uninstrumented data:
+  // those writes leave no orec evidence, so readers poll the strong clock
+  // after every value load instead. The bump is sequenced before every
+  // store the holder makes, so a reader that ingests one of them sees the
+  // clock moved, revalidates, and aborts on the lock word's new version.
+  detail::bump_strong_clock();
   // seq_cst: Dekker/store-buffering pair with the fence in commit_txn().
   // Our caller already stored the doom (bumped lock-word orec) before
   // calling; this fence orders that store before the mark and flag loads

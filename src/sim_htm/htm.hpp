@@ -12,9 +12,11 @@
 //   * tx reads validate the orec version around the value load and record
 //     it in a read set. A read revalidates the read set ("snapshot
 //     extension") only on evidence that its snapshot went stale: an orec
-//     version newer than the snapshot, or movement of the rare-event strong
-//     clock. That gives opacity (no zombie execution) in the style of
-//     LSA/TL2 without polling the global clock per read. A read-only commit
+//     version newer than the snapshot, or movement of the strong clock,
+//     which moves only where running transactions must stop early (an
+//     elidable-lock acquisition, a combiner selecting a foreign operation).
+//     That gives opacity (no zombie execution) in the style of LSA/TL2
+//     without polling the global clock per read. A read-only commit
 //     extends once if the global clock moved since the snapshot, which
 //     keeps RTM's eager invalidation of readers by committed writers. A
 //     read that meets an orec held by another thread's write-back waits
@@ -29,10 +31,11 @@
 //     words, operation statuses, publication slots — go through the same
 //     orec protocol via TxCell (txcell.hpp), so they doom overlapping
 //     transactions exactly like a cache-line invalidation would on real HTM.
-//   * lock acquirers call wait_writeback_drain() after dooming subscribers,
-//     closing the race with transactions already past validation: each
-//     committer raises a per-thread in-write-back flag and the drain scans
-//     the flags (see DESIGN.md, "quiescence gate").
+//   * lock acquirers call wait_writeback_drain() after dooming subscribers.
+//     It moves the strong clock, so every running subscriber stops at its
+//     next read, and closes the race with transactions already past
+//     validation: each committer raises a per-thread in-write-back flag and
+//     the drain scans the flags (see DESIGN.md, "quiescence gate").
 //
 // Memory ordering: the substrate runs on acquire/release pairs; the only
 // seq_cst operations are the two fences forming the quiescence gate's
@@ -106,11 +109,24 @@ inline std::uint64_t orec_version(std::uint64_t word) noexcept {
 // global_clock: the TL2 version clock. Bumped (acq_rel RMW) by every
 // writer commit and strong store *before* the corresponding orecs are
 // released, so an orec can never expose a version the clock has not reached.
-// strong_clock: counts only strong stores / lock-word transitions — the
-// rare events readers must poll for (lock holders write uninstrumented
-// data that leaves no orec evidence).
+// strong_clock: polled by every transactional read after its value load;
+// a move makes the reader revalidate its whole read set at once. Only
+// bump_strong_clock() moves it, and only two events call that:
+//   (a) wait_writeback_drain(), i.e. every elidable-lock acquisition: the
+//       holder's uninstrumented writes leave no orec evidence, so the clock
+//       stands in for them (lazy subscription, Dice et al.);
+//   (b) Operation::mark_being_helped on an operation a combiner selected:
+//       the owner's speculative body stores its result with plain stores,
+//       so it must stop at its next read rather than run to commit.
+// Every other strong store already leaves a fresh orec version that
+// readers detect on their own, so it does not move the strong clock.
 std::atomic<std::uint64_t>& global_clock() noexcept;
 std::atomic<std::uint64_t>& strong_clock() noexcept;
+
+// The one writer of strong_clock() (tools/lint/hcf_lint.py enforces it).
+// Call only outside a transaction, after the strong store that dooms the
+// transactions to be stopped.
+void bump_strong_clock() noexcept;
 
 // In-write-back flag of thread id `tid` (< util::kMaxThreads), one per
 // cache line: nonzero from just before the committer's final validation
@@ -353,7 +369,7 @@ inline T read(const T* addr) {
     const std::uint64_t v2 = orec.load(std::memory_order_acquire);
     if (v1 != v2) detail::throw_abort(AbortCode::Conflict);
     // Revalidate only on actual evidence of staleness — a version newer
-    // than our snapshot, or movement of the rare-event strong clock
+    // than our snapshot, or movement of the strong clock
     // (checked *after* the value load so a lock holder's uninstrumented
     // store can never be ingested without the strong bump being visible).
     if (detail::orec_version(v1) > t.snapshot_epoch) {
@@ -488,8 +504,9 @@ void retire(T* p) {
 // ---- Strong (non-transactional) operations --------------------------------
 // For words that transactions subscribe to. Serialized through the word's
 // orec so they are atomic with respect to commit write-back, and they bump
-// the orec version + version clock (+ strong clock) so overlapping
-// transactions abort.
+// the orec version + version clock so overlapping transactions abort: at
+// the next read that meets a newer version, or at commit validation. They
+// leave the strong clock alone (see strong_clock above).
 
 namespace detail {
 
@@ -573,11 +590,14 @@ inline T strong_exchange(T* addr, T value) noexcept {
   return cur;
 }
 
-// Blocks until no transaction is inside commit write-back. Called by
-// elidable-lock acquirers after the lock word is set: every transaction
-// validating after that point sees the bumped lock orec and aborts, and
-// this wait flushes the ones that had already validated. Scans one
-// in-write-back flag per thread id below util::ThreadRegistry::high_water().
+// Moves the strong clock, then blocks until no transaction is inside
+// commit write-back. Called by elidable-lock acquirers after the lock word
+// is set: every transaction validating after that point sees the bumped
+// lock orec and aborts, the strong-clock move makes every running
+// subscriber revalidate (and so abort) at its next read, before it can
+// ingest an uninstrumented store of the holder, and this wait flushes the
+// ones that had already validated. Scans one in-write-back flag per thread
+// id below util::ThreadRegistry::high_water().
 void wait_writeback_drain() noexcept;
 
 // Called by elidable-lock subscribe() implementations (sync/tx_lock.hpp):

@@ -6,9 +6,13 @@
 //                   progress argument (§2.3) for HCF starvation freedom.
 //
 // Both route state changes through TxCell strong operations (dooming
-// overlapping transactions) and wait for commit write-back quiescence after
-// acquisition, so a lock holder never observes — or races with — partial
-// transactional state. See DESIGN.md "quiescence gate".
+// overlapping transactions) and call htm::wait_writeback_drain() after
+// acquisition. The drain moves the strong clock, so every running
+// subscriber stops at its next read before it can ingest an uninstrumented
+// store of the holder, and waits for commit write-back quiescence, so a
+// lock holder never observes — or races with — partial transactional
+// state. Release is a plain strong store: the lock word's new orec version
+// is all a later subscriber needs. See DESIGN.md "quiescence gate".
 //
 // Wait hierarchy (DESIGN.md §12): the lock word is 4 bytes so it doubles
 // as a futex word. Under WaitPolicy::SpinPark a waiter that exhausts its
@@ -104,8 +108,8 @@ class CAPABILITY("elidable_lock") TxLock {
     if (!word_.cas(0, owner_word())) return false;
     acquisitions_.add();
     htm::protocol::note_lock_acquired();
-    // Doomed subscribers are now guaranteed to fail validation; flush the
-    // transactions that validated before our CAS.
+    // Doomed subscribers are now guaranteed to fail validation; stop the
+    // running ones and flush the transactions that validated before our CAS.
     htm::wait_writeback_drain();
     return true;
   }

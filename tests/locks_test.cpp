@@ -68,6 +68,35 @@ TYPED_TEST(ElidableLockTest, SubscribeAbortsWhenHeld) {
   EXPECT_TRUE(htm::attempt([&] { lock.subscribe(); }));
 }
 
+// A subscriber still running when a holder takes the lock must stop at its
+// next read. The holder's writes are uninstrumented and leave no orec
+// evidence; only the strong-clock move at acquisition (in the write-back
+// drain) makes the read revalidate, meet the lock word's new version, and
+// abort before it returns the holder's value.
+TYPED_TEST(ElidableLockTest, RunningSubscriberNeverReadsHolderWrite) {
+  TypeParam lock;
+  static std::uint64_t x;
+  x = 0;
+  auto holder = [&] {
+    lock.lock();
+    htm::write(&x, std::uint64_t{1});  // outside a transaction: plain store
+    lock.unlock();
+  };
+  bool read_returned = false;
+  const bool ok = htm::attempt([&] {
+    lock.subscribe();
+    std::thread t(holder);
+    t.join();  // lint:allow(tx-blocking-call) — the holder never waits on us
+    const std::uint64_t seen = htm::read(&x);
+    read_returned = true;
+    EXPECT_EQ(seen, 0u) << "subscriber ingested the lock holder's write";
+  });
+  EXPECT_FALSE(ok);
+  EXPECT_FALSE(read_returned);
+  EXPECT_EQ(htm::last_abort_code(), htm::AbortCode::Conflict);
+  EXPECT_EQ(x, 1u);
+}
+
 TYPED_TEST(ElidableLockTest, WaitUntilFreeReturnsAfterUnlock) {
   TypeParam lock;
   lock.lock();

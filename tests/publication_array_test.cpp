@@ -10,8 +10,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/combine_core.hpp"
+#include "core/engine_stats.hpp"
 #include "core/operation.hpp"
 #include "sim_htm/htm.hpp"
+#include "sim_htm/txcell.hpp"
+#include "sync/tx_lock.hpp"
 #include "util/thread_id.hpp"
 
 namespace hcf::core {
@@ -267,6 +271,100 @@ TEST(OperationDescriptor, StatusLifecycle) {
   EXPECT_EQ(op.status(), OpStatus::Done);
   EXPECT_EQ(op.completed_phase(), Phase::Combining);
   op.wait_done();  // must not block once Done
+}
+
+// An owner speculating on its announced op must stop at its very next
+// read once a combiner selects the op, not run its body on to commit:
+// adapters store results with plain stores inside the body, and a doomed
+// owner running on would overwrite the combiner's result.
+TEST(OperationDescriptor, SelectedOwnerStopsAtNextRead) {
+  NoopOp op;
+  op.prepare();
+  op.mark_announced();
+  static std::uint64_t unrelated = 7;
+  auto combiner = [&] { op.mark_being_helped(); };
+  bool ran_past_read = false;
+  const bool ok = htm::attempt([&] {
+    if (op.status_tx() != OpStatus::Announced) htm::abort_tx();
+    std::thread t(combiner);
+    t.join();  // lint:allow(tx-blocking-call) — the combiner never waits on us
+    (void)htm::read(&unrelated);
+    ran_past_read = true;
+  });
+  EXPECT_FALSE(ok);
+  EXPECT_FALSE(ran_past_read);
+  EXPECT_EQ(htm::last_abort_code(), htm::AbortCode::Conflict);
+  EXPECT_EQ(op.status(), OpStatus::BeingHelped);
+}
+
+// The strong clock (polled by every transactional read) moves exactly once
+// per elidable-lock acquisition and once per foreign op a combiner selects.
+// No other strong store moves it: each leaves a fresh orec version that
+// readers detect on their own. Deterministic: this process runs no other
+// threads.
+TEST(StrongClock, MovesOnlyAtLockAcquisitionAndSelection) {
+  const auto& clock = htm::detail::strong_clock();
+  std::uint64_t last = clock.load();
+  auto moves = [&] {
+    const std::uint64_t now = clock.load();
+    const std::uint64_t d = now - last;
+    last = now;
+    return d;
+  };
+
+  htm::TxCell<std::uint32_t> cell{0};
+  cell.store(1);
+  EXPECT_TRUE(cell.cas(1, 2));
+  EXPECT_EQ(cell.exchange(3), 2u);
+  EXPECT_EQ(cell.fetch_add(1), 3u);
+  EXPECT_EQ(moves(), 0u) << "TxCell strong stores";
+
+  sync::TxLock lock;
+  lock.lock();
+  EXPECT_EQ(moves(), 1u) << "TxLock::lock";
+  lock.unlock();
+  EXPECT_EQ(moves(), 0u) << "TxLock::unlock";
+  if (!lock.try_lock()) FAIL() << "try_lock on a free lock must succeed";
+  EXPECT_EQ(moves(), 1u) << "TxLock::try_lock";
+  lock.unlock();
+
+  sync::FairTxLock fair;
+  fair.lock();
+  EXPECT_EQ(moves(), 1u) << "FairTxLock::lock";
+  fair.unlock();
+  EXPECT_EQ(moves(), 0u) << "FairTxLock::unlock";
+  if (!fair.try_lock()) FAIL() << "try_lock on a free lock must succeed";
+  EXPECT_EQ(moves(), 1u) << "FairTxLock::try_lock";
+  fair.unlock();
+
+  // One combining selection: the combiner's own op and one foreign op,
+  // announced from another thread's slot.
+  PublicationArray<NullDs> pa;
+  NoopOp own;
+  NoopOp foreign;
+  own.prepare();
+  own.mark_announced();
+  foreign.prepare();
+  foreign.mark_announced();
+  std::thread([&] { pa.add(&foreign); }).join();
+  pa.add(&own);
+  EXPECT_EQ(moves(), 0u) << "PublicationArray::add";
+  auto stats = std::make_unique<EngineStats>();
+  std::vector<Operation<NullDs>*> batch;
+  batch.reserve(util::kMaxThreads);
+  pa.selection_lock().lock();
+  EXPECT_EQ(moves(), 1u) << "selection-lock acquisition";
+  CombineCore<NullDs>::select_batch<true>(own, pa, batch, *stats);
+  EXPECT_EQ(batch.size(), 2u);
+  EXPECT_EQ(moves(), 1u) << "select_batch: the foreign op only, no "
+                            "clear_slot, no own-op transition";
+  foreign.mark_being_helped();
+  EXPECT_EQ(moves(), 0u) << "re-selecting a selected op";
+  pa.selection_lock().unlock();
+  pa.publish_combined(2);
+  EXPECT_EQ(moves(), 0u) << "publish_combined";
+  own.mark_done(Phase::Combining);
+  foreign.mark_done(Phase::Combining);
 }
 
 TEST(OperationDescriptor, DefaultRunMultiRunsAll) {

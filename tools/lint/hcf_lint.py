@@ -87,6 +87,16 @@ compiler dependency, by design):
                          cross-thread retirement keys on; a raw delete of
                          a pooled block is heap corruption. Deliberate
                          escapes carry // lint:allow(node-alloc-via-facade)
+  strong-clock-writer    only the body of bump_strong_clock() in the
+                         src/sim_htm/ zone may mutate strong_clock(): no
+                         fetch_*/store/exchange/compare_exchange, ++/--,
+                         compound or plain assignment on it anywhere else,
+                         and no address-of or non-const reference binding
+                         that could mutate it out of sight. Every reader
+                         revalidates its whole read set when the clock
+                         moves, so it moves only where running
+                         transactions must stop (lock acquisition, combiner
+                         selection of a foreign op; DESIGN.md §8.3)
   lint-directive         a lint:allow / lint:allow-file directive names a
                          rule this linter does not have (typo'd
                          suppressions otherwise fail silently open)
@@ -149,6 +159,9 @@ RULES: dict[str, str] = {
     "node-alloc-via-facade":
         "no raw new/delete in src/ds/; node memory goes through mem::alloc"
         "/mem::dealloc/mem::retire (htm::make/htm::retire on hot paths)",
+    "strong-clock-writer":
+        "strong_clock() is mutated only inside bump_strong_clock() "
+        "in src/sim_htm/",
     "lint-directive":
         "suppression directives must name rules that actually exist",
 }
@@ -253,6 +266,25 @@ RETURN_RE = re.compile(r"\breturn\b")
 # non-expression use of either keyword) is filtered out in the check;
 # deliberate escapes carry lint:allow.
 NEW_DELETE_RE = re.compile(r"\b(new|delete)\b")
+
+# strong_clock() writers. The call is matched with any namespace
+# qualification; a mutation is a mutating member call, ++/-- on either
+# side, or any (compound) assignment, and escapes are address-of after an
+# expression-start token (so the `std::atomic<...>& strong_clock()`
+# declarator is not one) and reference bindings, checked for `const` in
+# the statement text before them.
+_STRONG_CLOCK = r"(?:\w+::)*strong_clock\s*\(\s*\)"
+STRONG_CLOCK_MUTATION_RES = [
+    re.compile(r"\b" + _STRONG_CLOCK + r"\s*\.\s*(?:fetch_\w+|store|exchange|"
+               r"compare_exchange_\w+)\s*\("),
+    re.compile(r"\b" + _STRONG_CLOCK + r"\s*(?:\+\+|--|[-+*/%|&^]?=(?!=))"),
+    re.compile(r"(?:\+\+|--)\s*" + _STRONG_CLOCK),
+    re.compile(r"(?:[=(,]|\breturn)\s*&\s*" + _STRONG_CLOCK),
+]
+STRONG_CLOCK_REF_BIND_RE = re.compile(r"&\s*\w+\s*=\s*" + _STRONG_CLOCK)
+STRONG_CLOCK_BUMP_DEF_RE = re.compile(
+    r"\bbump_strong_clock\s*\(\s*\)\s*(?:noexcept\s*)?\{")
+CONST_RE = re.compile(r"\bconst\b")
 
 FOR_LOOP_RE = re.compile(r"\bfor\s*\(")
 SHARD_LOCK_ACQ_RE = re.compile(r"(?:\.|->)\s*(?:try_)?lock\s*\(\s*\)\s*;")
@@ -708,6 +740,34 @@ class FileLinter:
                     "published nodes — a raw delete on a pooled block "
                     "corrupts the arena")
 
+    def check_strong_clock_writer(self) -> None:
+        # Spans of bump_strong_clock() bodies, the one sanctioned writer;
+        # only the substrate zone may define it.
+        allowed = []
+        if self.zone == "sim_htm":
+            for m in STRONG_CLOCK_BUMP_DEF_RE.finditer(self.stripped):
+                end = self.match_brace(m.end() - 1)
+                if end >= 0:
+                    allowed.append((m.end() - 1, end))
+        hits = set()
+        for rx in STRONG_CLOCK_MUTATION_RES:
+            hits.update(m.start() for m in rx.finditer(self.stripped))
+        for m in STRONG_CLOCK_REF_BIND_RE.finditer(self.stripped):
+            stmt_start = max(self.stripped.rfind(c, 0, m.start())
+                             for c in ";{}") + 1
+            if not CONST_RE.search(self.stripped[stmt_start:m.start()]):
+                hits.add(m.start())
+        for off in sorted(hits):
+            if any(lo < off < hi for lo, hi in allowed):
+                continue
+            self.report(
+                self.line_of(off), "strong-clock-writer",
+                "strong_clock() mutated (or aliased mutably) outside "
+                "bump_strong_clock() in src/sim_htm/; every running "
+                "transaction revalidates its whole read set when the "
+                "strong clock moves, so only lock acquisition and "
+                "combiner selection may move it (DESIGN.md §8.3)")
+
     def tx_bodies(self):
         """Yield (start_offset, end_offset) of every htm::attempt lambda
         body (offsets of '{' and its matching '}')."""
@@ -798,6 +858,7 @@ class FileLinter:
         self.check_cross_shard_lock_order()
         self.check_delegated_apply_no_selection_lock()
         self.check_node_alloc_via_facade()
+        self.check_strong_clock_writer()
         self.check_phase_telemetry_pairing()
         self.check_tx_bodies()
         return self.diags
