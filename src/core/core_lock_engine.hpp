@@ -59,7 +59,7 @@ class CoreLockEngine {
       });
       if (committed) {
         telemetry::phase_exit(static_cast<int>(Phase::Private), true);
-        op.mark_done(Phase::Private);
+        op.mark_own_done(Phase::Private);
         stats_.record_completion(op.class_id(), Phase::Private);
         return Phase::Private;
       }
@@ -67,7 +67,7 @@ class CoreLockEngine {
         // Serialize with same-core siblings and retry speculatively.
         if (try_under_core_lock(op)) {
           telemetry::phase_exit(static_cast<int>(Phase::Private), true);
-          op.mark_done(Phase::Private);
+          op.mark_own_done(Phase::Private);
           stats_.record_completion(op.class_id(), Phase::Private);
           return Phase::Private;
         }
@@ -83,7 +83,7 @@ class CoreLockEngine {
       op.run_seq(ds_);
     }
     telemetry::phase_exit(static_cast<int>(Phase::UnderLock), true);
-    op.mark_done(Phase::UnderLock);
+    op.mark_own_done(Phase::UnderLock);
     stats_.record_completion(op.class_id(), Phase::UnderLock);
     return Phase::UnderLock;
   }

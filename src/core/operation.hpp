@@ -153,16 +153,28 @@ class Operation {
   // move — its owner is the combiner, which is not speculating on it.
   void mark_own_being_helped() noexcept { (void)set_being_helped(); }
 
-  // Completion: record where the op completed, then release the owner.
-  // Plain release exchange — by this point the owner cannot be speculating
-  // on the operation (it was doomed at mark_being_helped, or it is us).
-  // The displaced value tells us whether the owner parked on the status
-  // word (wait_done below); only then does the wake syscall fire.
+  // Completion by a combiner or delegate: record where the op completed,
+  // then release the owner. Plain release exchange — by this point the
+  // owner cannot be speculating on the operation (it was doomed at
+  // mark_being_helped, or it is us). The displaced value tells us whether
+  // the owner parked on the status word (wait_done below); only then does
+  // the wake syscall fire.
   void mark_done(Phase phase) noexcept {
     completed_phase_ = phase;
     const std::uint32_t old =
         status_.exchange_plain(static_cast<std::uint32_t>(OpStatus::Done));
     if ((old & kParkedBit) != 0) util::wake_all(status_.wait_address());
+  }
+
+  // Completion by the owner itself, of an op no combiner holds: it was
+  // never announced, or the owner's visible transaction unpublished it
+  // while its status still read Announced. Only the owner ever sets
+  // kParkedBit, and only while waiting for someone else, so nobody can be
+  // parked here: a plain release store replaces mark_done's exchange.
+  void mark_own_done(Phase phase) noexcept {
+    assert((status_.load() & kParkedBit) == 0);
+    completed_phase_ = phase;
+    status_.store_plain(static_cast<std::uint32_t>(OpStatus::Done));
   }
 
   // Owner-side wait for a combiner to finish the operation. The owner

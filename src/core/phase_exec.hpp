@@ -39,6 +39,7 @@
 #include <concepts>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/combine_core.hpp"
@@ -310,8 +311,9 @@ class PhaseMachine {
  private:
   // ---- Phase 1 -------------------------------------------------------
   bool try_private(Op& op, const PhasePolicy& policy) {
-    util::ExpBackoff backoff(
-        util::backoff_seed(util::BackoffSite::kPhasePrivate));
+    // Seeded on the first Conflict abort: an op that commits at once (the
+    // uncontended common case) never builds it.
+    std::optional<util::ExpBackoff> backoff;
     for (int attempt = 0; attempt < policy.try_private; ++attempt) {
       lock_.wait_until_free(policy.wait);
       const bool committed = htm::attempt([&] {
@@ -324,7 +326,13 @@ class PhaseMachine {
       }
       stats_.record_attempt_failure(op.class_id());
       if (htm::last_abort_code() == htm::AbortCode::Capacity) return false;
-      if (htm::last_abort_code() == htm::AbortCode::Conflict) backoff.pause();
+      if (htm::last_abort_code() == htm::AbortCode::Conflict) {
+        if (!backoff) {
+          backoff.emplace(
+              util::backoff_seed(util::BackoffSite::kPhasePrivate));
+        }
+        backoff->pause();
+      }
     }
     return false;
   }
@@ -612,8 +620,10 @@ class PhaseMachine {
     }
   }
 
+  // Owner-side completions only (private, visible, own op under the
+  // lock); a combiner's or delegate's go through CombineCore and mark_done.
   void complete(Op& op, Phase phase) {
-    op.mark_done(phase);
+    op.mark_own_done(phase);
     stats_.record_completion(op.class_id(), phase);
   }
 

@@ -42,7 +42,7 @@ class ScmEngine {
     telemetry::phase_enter(static_cast<int>(Phase::Private));
     if (try_speculative(op, free_budget_, &capacity)) {
       telemetry::phase_exit(static_cast<int>(Phase::Private), true);
-      op.mark_done(Phase::Private);
+      op.mark_own_done(Phase::Private);
       stats_.record_completion(op.class_id(), Phase::Private);
       return Phase::Private;
     }
@@ -56,7 +56,7 @@ class ScmEngine {
       aux_lock_.unlock();
       if (ok) {
         telemetry::phase_exit(static_cast<int>(Phase::Private), true);
-        op.mark_done(Phase::Private);
+        op.mark_own_done(Phase::Private);
         stats_.record_completion(op.class_id(), Phase::Private);
         return Phase::Private;
       }
@@ -69,7 +69,7 @@ class ScmEngine {
       op.run_seq(ds_);
     }
     telemetry::phase_exit(static_cast<int>(Phase::UnderLock), true);
-    op.mark_done(Phase::UnderLock);
+    op.mark_own_done(Phase::UnderLock);
     stats_.record_completion(op.class_id(), Phase::UnderLock);
     return Phase::UnderLock;
   }

@@ -43,10 +43,41 @@ namespace hcf::mem {
 
 namespace detail {
 
+// One thread's announcement, packed into one word so that entering a guard
+// is one store and a scan is one load per slot: (epoch << 1) | 1 while the
+// owner is inside a guard, 0 outside. The low bit keeps an announcement of
+// epoch 0 distinct from "not in a guard".
 struct Reservation {
-  std::atomic<bool> active{false};
-  std::atomic<std::uint64_t> epoch{0};
+  std::atomic<std::uint64_t> word{0};
   std::uint32_t depth = 0;  // guard nesting, accessed only by owner
+
+  static constexpr std::uint64_t busy(std::uint64_t epoch) noexcept {
+    return (epoch << 1) | 1;
+  }
+
+  // Announces `seen`, the owner's read of `global`, and re-announces until
+  // a re-read of `global` agrees. For safety only the store matters: the
+  // guard's reads come after it, and a scan that sees an announcement
+  // other than the current epoch refuses to advance, so a stale value only
+  // delays reclamation. The re-check is for progress. Without it, an epoch
+  // that moved between the caller's read and the store would leave the
+  // announcement stale from the start and pin the epoch for the whole
+  // guard; with it, the epoch advances at most once past the announcement
+  // while the guard lasts (DESIGN.md §14.3).
+  void announce(const std::atomic<std::uint64_t>& global,
+                std::uint64_t seen) noexcept {
+    for (;;) {
+      // seq_cst: store-load pair with try_advance's scan (epoch load, slot
+      // loads, CAS). Either the scan sees this store, or the re-read below
+      // follows the scan in the total order and sees the advance it made.
+      word.store(busy(seen), std::memory_order_seq_cst);
+      // seq_cst: second half of the pair; an acquire load could be
+      // satisfied before the store above is visible to a scanner.
+      const std::uint64_t now = global.load(std::memory_order_seq_cst);
+      if (now == seen) return;
+      seen = now;
+    }
+  }
 };
 
 struct RetiredNode {
@@ -99,26 +130,21 @@ class CAPABILITY("ebr.domain") EbrDomain {
     return dom;
   }
 
-  // Marks the calling thread as inside a read-side critical section.
+  // Marks the calling thread as inside a read-side critical section. A
+  // nested guard only counts depth: the outer announcement stands. The
+  // first read of the epoch may be stale; announce() re-checks it with the
+  // one fence the guard pays.
   void enter() noexcept ACQUIRE_SHARED() {
     auto& r = slot();
     if (r.depth++ > 0) return;
-    // Announce the current epoch; seq_cst so that retirers scanning
-    // reservations cannot miss us (store-load ordering with try_advance).
-    r.epoch.store(global_epoch_.load(std::memory_order_seq_cst),
-                  std::memory_order_seq_cst);
-    r.active.store(true, std::memory_order_seq_cst);
-    // Re-announce in case the epoch advanced between load and store; one
-    // re-read closes the window because epochs only block on *active*
-    // threads with stale announcements.
-    r.epoch.store(global_epoch_.load(std::memory_order_seq_cst),
-                  std::memory_order_seq_cst);
+    r.announce(global_epoch_, global_epoch_.load(std::memory_order_relaxed));
   }
 
+  // release: the guard's reads happen-before a scan that sees it gone.
   void exit() noexcept RELEASE_SHARED() {
     auto& r = slot();
     if (--r.depth > 0) return;
-    r.active.store(false, std::memory_order_release);
+    r.word.store(0, std::memory_order_release);
   }
 
   bool in_critical_section() noexcept { return slot().depth > 0; }
@@ -153,7 +179,7 @@ class CAPABILITY("ebr.domain") EbrDomain {
       drain_all_inboxes(limbo);
       seal_open(limbo);
       const std::uint64_t before =
-          global_epoch_.load(std::memory_order_seq_cst);
+          global_epoch_.load(std::memory_order_acquire);
       try_advance();
       sweep(limbo, /*force=*/true);
       // The sweep's deleters route foreign blocks into this thread's
@@ -161,7 +187,7 @@ class CAPABILITY("ebr.domain") EbrDomain {
       // round would report converged with blocks still parked locally.
       flush_remote_frees();
       if (limbo.empty() && orphans_empty() && all_inboxes_empty()) return;
-      if (global_epoch_.load(std::memory_order_seq_cst) == before) return;
+      if (global_epoch_.load(std::memory_order_acquire) == before) return;
     }
   }
 
@@ -254,18 +280,34 @@ class CAPABILITY("ebr.domain") EbrDomain {
     reclaim_stats().batches_sealed.add();
   }
 
+  // Advances the epoch if every thread inside a guard announced it. The
+  // scan stops at the registry's high-water mark, like the sim-HTM
+  // write-back drain: no slot at or above it was ever handed out. A thread
+  // that registers after the mark load is still covered, because it
+  // announces after reading the epoch and then re-checks it. If its
+  // re-check read an epoch older than `g`, the re-check precedes the CAS
+  // that made `g` in the seq_cst total order, and so precedes our load of
+  // `g` and our mark load. Its registration raised the mark (seq_cst)
+  // before the re-check, so the mark load returns it and the scan meets
+  // the stale announcement. Otherwise it announced `g` or later, which
+  // blocks no advance from `g`.
   bool try_advance() noexcept {
+    // seq_cst: this load, the slot loads and the CAS are the scan half of
+    // the guard's store-load pair (Reservation::announce).
     const std::uint64_t g = global_epoch_.load(std::memory_order_seq_cst);
-    for (auto& res : reservations_) {
-      const auto& r = res.value;
-      if (r.active.load(std::memory_order_seq_cst) &&
-          r.epoch.load(std::memory_order_seq_cst) != g) {
-        return false;
-      }
+    const std::uint64_t current = detail::Reservation::busy(g);
+    const std::size_t n = util::ThreadRegistry::instance().high_water();
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& word = reservations_[i].value.word;
+      // seq_cst: see Reservation::announce.
+      const std::uint64_t w = word.load(std::memory_order_seq_cst);
+      if (w != 0 && w != current) return false;
     }
     std::uint64_t expected = g;
-    global_epoch_.compare_exchange_strong(expected, g + 1,
-                                          std::memory_order_seq_cst);
+    // The advance follows this scan in the total order, so an announcer
+    // whose re-check read `g` is seen by the next scan.
+    global_epoch_.compare_exchange_strong(
+        expected, g + 1, std::memory_order_seq_cst);  // seq_cst: see above
     return true;
   }
 

@@ -44,7 +44,12 @@ struct Config {
   std::atomic<std::size_t> write_capacity{2048};
 };
 
-Config& config() noexcept;
+// Header-inline and constant-initialized like the substrate's other hot
+// globals (htm.hpp): htm::read checks the read capacity on every new
+// read-set entry.
+inline constinit Config g_config;
+
+inline Config& config() noexcept { return g_config; }
 
 // RAII helper for tests: temporarily overrides capacities.
 class ScopedCapacity {

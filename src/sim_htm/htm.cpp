@@ -1,17 +1,9 @@
 #include "sim_htm/htm.hpp"
 
-#include <memory>
-#include <new>
-
 #include "telemetry/telemetry.hpp"
 #include "util/backoff.hpp"
 
 namespace hcf::htm {
-
-Config& config() noexcept {
-  static Config cfg;
-  return cfg;
-}
 
 Stats& stats() noexcept {
   static Stats s;
@@ -19,28 +11,6 @@ Stats& stats() noexcept {
 }
 
 namespace detail {
-
-std::atomic<std::uint64_t>* orec_table() noexcept {
-  // Zero-initialized static storage; even (version 0) means unlocked.
-  // Cache-line aligned so no orec straddles a line and the table start
-  // never shares a line with unrelated allocator metadata.
-  static auto* table = new (std::align_val_t{util::kCacheLineSize})
-      std::atomic<std::uint64_t>[kOrecCount]{};
-  return table;
-}
-
-// Each global clock gets a private cache line: the version clock is the
-// single hottest shared word in the system and must not false-share with
-// the (read-mostly) strong clock.
-std::atomic<std::uint64_t>& global_clock() noexcept {
-  static util::CacheAligned<std::atomic<std::uint64_t>> clock;
-  return clock.value;
-}
-
-std::atomic<std::uint64_t>& strong_clock() noexcept {
-  static util::CacheAligned<std::atomic<std::uint64_t>> clock;
-  return clock.value;
-}
 
 // Per-thread flags, each on its own line: a commit writes only its own
 // line instead of two RMWs on one shared counter.
@@ -50,14 +20,18 @@ std::atomic<std::uint32_t>& writeback_flag(std::size_t tid) noexcept {
   return flags[tid].value;
 }
 
-Txn& txn() noexcept {
-  thread_local Txn t;
-  return t;
+namespace {
+
+// Cold path of begin_txn, once per thread. The logs die at thread exit,
+// before every thread_local constructed ahead of them; none of those
+// begins a transaction in its destructor.
+void attach_logs(Txn& t) {
+  thread_local TxnLogs logs;
+  t.logs = &logs;
 }
 
 // Let the memory layer refuse to drain remote-free queues inside a
 // transaction body without mem/ depending on sim_htm/ (mem/pool.hpp).
-namespace {
 struct InTxnProbeInit {
   InTxnProbeInit() noexcept {
     mem::set_in_txn_probe([] { return txn().active; });
@@ -69,13 +43,13 @@ InTxnProbeInit g_in_txn_probe_init;
 void throw_abort(AbortCode code) { throw TxAbort{code}; }
 
 bool validate_read_set(Txn& t, std::uint64_t self_tag) noexcept {
-  for (const auto& r : t.read_set) {
+  for (const auto& r : t.logs->read_set) {
     const std::uint64_t cur = r.orec->load(std::memory_order_acquire);
     if (cur == r.version) continue;
     if (self_tag != 0 && cur == self_tag) {
       // We hold this orec for commit; compare against its pre-lock version.
       bool ok = false;
-      for (const auto& a : t.acquired) {
+      for (const auto& a : t.logs->acquired) {
         if (a.orec == r.orec) {
           ok = (a.old_version == r.version);
           break;
@@ -91,7 +65,8 @@ bool validate_read_set(Txn& t, std::uint64_t self_tag) noexcept {
 void extend_snapshot(Txn& t) {
   const std::uint64_t c = global_clock().load(std::memory_order_acquire);
   const std::uint64_t sc = strong_clock().load(std::memory_order_acquire);
-  const std::size_t n = t.read_set.size();
+  const auto& read_set = t.logs->read_set;
+  const std::size_t n = read_set.size();
   // Incremental revalidation: entries [0, validated_count) were proven
   // consistent at clock `validated_epoch`. If the clock still reads that
   // value, nothing can have been written back over them (writers release
@@ -101,7 +76,7 @@ void extend_snapshot(Txn& t) {
   const std::size_t from =
       (c == t.validated_epoch) ? t.validated_count : 0;
   for (std::size_t i = from; i < n; ++i) {
-    const auto& r = t.read_set[i];
+    const auto& r = read_set[i];
     if (r.orec->load(std::memory_order_acquire) != r.version) {
       throw_abort(AbortCode::Conflict);
     }
@@ -117,6 +92,7 @@ void extend_snapshot(Txn& t) {
 
 void begin_txn(Txn& t) {
   assert(!t.active);
+  if (t.logs == nullptr) attach_logs(t);
   t.active = true;
   t.subscribed = false;
   t.depth = 1;
@@ -127,7 +103,7 @@ void begin_txn(Txn& t) {
   t.snapshot_strong = strong_clock().load(std::memory_order_acquire);
   t.validated_epoch = t.snapshot_epoch;
   t.validated_count = 0;
-  stats().starts.add();
+  stats().starts.add_at(t.tid);
 }
 
 void store_sized(std::uintptr_t addr, std::uint64_t value,
@@ -155,10 +131,11 @@ void store_sized(std::uintptr_t addr, std::uint64_t value,
 }
 
 void windex_grow(Txn& t) {
-  t.windex.assign(t.windex.size() * 2, 0);
+  t.logs->windex.assign(t.logs->windex.size() * 2, 0);
   --t.windex_shift;
-  for (std::size_t i = 0; i < t.write_set.size(); ++i) {
-    windex_insert(t, addr_hash(t.write_set[i].addr),
+  const auto& write_set = t.logs->write_set;
+  for (std::size_t i = 0; i < write_set.size(); ++i) {
+    windex_insert(t, addr_hash(write_set[i].addr),
                   static_cast<std::uint32_t>(i));
   }
 }
@@ -169,7 +146,8 @@ namespace {
 // versions (failed commit); otherwise stores `new_word` (the commit
 // version, already shifted) into each.
 void release_acquired(Txn& t, std::uint64_t new_word) noexcept {
-  for (auto it = t.acquired.rbegin(); it != t.acquired.rend(); ++it) {
+  auto& acquired = t.logs->acquired;
+  for (auto it = acquired.rbegin(); it != acquired.rend(); ++it) {
     // Publish the write-back to transactional readers: their post-load orec
     // validation runs HCF_TSAN_ACQUIRE on the same orec (htm.hpp, read()).
     HCF_TSAN_RELEASE(it->orec);
@@ -178,14 +156,14 @@ void release_acquired(Txn& t, std::uint64_t new_word) noexcept {
     it->orec->store(new_word != 0 ? new_word : it->old_version,
                     std::memory_order_release);
   }
-  t.acquired.clear();
+  acquired.clear();
 }
 
 // Try to lock every orec covering the write set. Returns false (with all
 // partial acquisitions rolled back) on any conflict.
 bool acquire_write_orecs(Txn& t) noexcept {
   const std::uint64_t my_tag = tx_lock_word(t.tid);
-  for (const auto& w : t.write_set) {
+  for (const auto& w : t.logs->write_set) {
     auto& orec = orec_for(reinterpret_cast<const void*>(w.addr));
     std::uint64_t cur = orec.load(std::memory_order_relaxed);
     // Orecs we already own (several writes can share one orec): the tid
@@ -199,15 +177,18 @@ bool acquire_write_orecs(Txn& t) noexcept {
       release_acquired(t, /*new_word=*/0);
       return false;
     }
-    t.acquired.push_back({&orec, cur});
+    t.logs->acquired.push_back({&orec, cur});
   }
   return true;
 }
 
 void flush_access_counters(Txn& t) noexcept {
-  if (t.n_reads != 0) stats().tx_reads.add(t.n_reads);
-  if (t.n_writes != 0) stats().tx_writes.add(t.n_writes);
-  if (t.n_extensions != 0) stats().snapshot_extensions.add(t.n_extensions);
+  Stats& s = stats();
+  if (t.n_reads != 0) s.tx_reads.add_at(t.tid, t.n_reads);
+  if (t.n_writes != 0) s.tx_writes.add_at(t.tid, t.n_writes);
+  if (t.n_extensions != 0) {
+    s.snapshot_extensions.add_at(t.tid, t.n_extensions);
+  }
   t.n_reads = 0;
   t.n_writes = 0;
   t.n_extensions = 0;
@@ -221,11 +202,12 @@ void finish_commit_bookkeeping(Txn& t) noexcept {
   // transaction body (mem/pool.hpp), and the write-back is already done.
   t.active = false;
   t.depth = 0;
-  t.alloc_log.clear();
-  for (const auto& r : t.retire_log) r.fn(r.ptr);
-  t.retire_log.clear();
+  t.logs->alloc_log.clear();
+  auto& retire_log = t.logs->retire_log;
+  for (const auto& r : retire_log) r.fn(r.ptr);
+  retire_log.clear();
   flush_access_counters(t);
-  stats().commits.add();
+  stats().commits.add_at(t.tid);
 }
 
 }  // namespace
@@ -238,7 +220,7 @@ void commit_txn(Txn& t) {
   }
   protocol::check_commit_subscription(t.subscribed);
 
-  if (t.write_set.empty()) {
+  if (t.logs->write_set.empty()) {
     // Read-only. Every read proved version ≤ snapshot with the strong clock
     // unchanged, so the read set is already consistent at the snapshot and
     // could serialize there. It extends anyway if any commit happened since
@@ -249,7 +231,7 @@ void commit_txn(Txn& t) {
     if (global_clock().load(std::memory_order_acquire) != t.snapshot_epoch) {
       extend_snapshot(t);
     }
-    stats().read_only_commits.add();
+    stats().read_only_commits.add_at(t.tid);
     finish_commit_bookkeeping(t);
     telemetry::htm_commit(/*read_only=*/true);
     return;
@@ -294,7 +276,9 @@ void commit_txn(Txn& t) {
     throw_abort(AbortCode::Conflict);
   }
 
-  for (const auto& w : t.write_set) store_sized(w.addr, w.value, w.size);
+  for (const auto& w : t.logs->write_set) {
+    store_sized(w.addr, w.value, w.size);
+  }
 
   // The clock already reached wv (our own fetch_add), so releasing the
   // orecs to version wv keeps the invariant that a reader observing the
@@ -314,7 +298,8 @@ void abort_cleanup(Txn& t, AbortCode code) noexcept {
   assert(t.active);
   // Nothing was written back (lazy versioning), so "undo" is just
   // releasing speculative allocations.
-  for (auto it = t.alloc_log.rbegin(); it != t.alloc_log.rend(); ++it) {
+  const auto& alloc_log = t.logs->alloc_log;
+  for (auto it = alloc_log.rbegin(); it != alloc_log.rend(); ++it) {
     it->fn(it->ptr);
   }
   t.reset_logs();
@@ -323,7 +308,7 @@ void abort_cleanup(Txn& t, AbortCode code) noexcept {
   detail::flush_access_counters(t);
   t.last_abort = code;
   const auto idx = static_cast<std::size_t>(code);
-  stats().aborts[idx < kNumAbortCodes ? idx : 0].add();
+  stats().aborts[idx < kNumAbortCodes ? idx : 0].add_at(t.tid);
   // The transaction is torn down (t.active is false): recording here is a
   // plain per-thread side effect, not an in-transaction call.
   telemetry::htm_abort(static_cast<int>(code));

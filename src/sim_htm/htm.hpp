@@ -36,6 +36,11 @@
 //     next read, and closes the race with transactions already past
 //     validation: each committer raises a per-thread in-write-back flag and
 //     the drain scans the flags (see DESIGN.md, "quiescence gate").
+//   * the hot globals (orec table, both clocks, config, the thread's Txn)
+//     are header-inline constinit variables, so read/write/attempt reach
+//     them with a direct load instead of an out-of-line accessor call.
+//     The Txn is trivially destructible for this; its heap-backed logs
+//     hang off it (TxnLogs) and are attached once per thread.
 //
 // Memory ordering: the substrate runs on acquire/release pairs; the only
 // seq_cst operations are the two fences forming the quiescence gate's
@@ -55,6 +60,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -84,7 +90,16 @@ namespace detail {
 // store (kStrongTag).
 inline constexpr std::uint64_t kStrongTag = ~std::uint64_t{0};  // odd
 
-std::atomic<std::uint64_t>* orec_table() noexcept;
+// Header-inline and constant-initialized, like the clocks and g_txn below:
+// an access is a direct load, with no out-of-line call or init guard. Zero
+// initialized, so it sits in .bss and only the orecs in use become
+// resident. Cache-line aligned so no orec straddles a line.
+alignas(util::kCacheLineSize) inline constinit std::atomic<std::uint64_t>
+    g_orec_table[kOrecCount]{};
+
+inline std::atomic<std::uint64_t>* orec_table() noexcept {
+  return g_orec_table;
+}
 
 inline std::atomic<std::uint64_t>& orec_for(const void* addr) noexcept {
   // Fibonacci hashing: one multiply, top bits select the orec. Cheap and
@@ -120,8 +135,20 @@ inline std::uint64_t orec_version(std::uint64_t word) noexcept {
 //       so it must stop at its next read rather than run to commit.
 // Every other strong store already leaves a fresh orec version that
 // readers detect on their own, so it does not move the strong clock.
-std::atomic<std::uint64_t>& global_clock() noexcept;
-std::atomic<std::uint64_t>& strong_clock() noexcept;
+// Each clock gets a private cache line: the version clock is the single
+// hottest shared word in the system and must not false-share with the
+// (read-mostly) strong clock.
+inline constinit util::CacheAligned<std::atomic<std::uint64_t>>
+    g_global_clock;
+inline constinit util::CacheAligned<std::atomic<std::uint64_t>>
+    g_strong_clock;
+
+inline std::atomic<std::uint64_t>& global_clock() noexcept {
+  return g_global_clock.value;
+}
+inline std::atomic<std::uint64_t>& strong_clock() noexcept {
+  return g_strong_clock.value;
+}
 
 // The one writer of strong_clock() (tools/lint/hcf_lint.py enforces it).
 // Call only outside a transaction, after the strong store that dooms the
@@ -171,6 +198,20 @@ inline std::uint64_t sig_bit(std::uint64_t h) noexcept {
   return std::uint64_t{1} << ((h >> 52) & 63);
 }
 
+// A transaction's logs. They own heap storage, so they live apart from
+// Txn, in a thread_local of their own (htm.cpp) that the thread's first
+// begin_txn attaches: that keeps Txn trivially destructible, and with it
+// g_txn free of a TLS init call on every access.
+struct TxnLogs {
+  std::vector<ReadEntry> read_set;
+  std::vector<WriteEntry> write_set;
+  std::vector<std::uint64_t> windex =
+      std::vector<std::uint64_t>(kWindexInitialSlots, 0);
+  std::vector<AcquiredOrec> acquired;
+  std::vector<CleanupEntry> alloc_log;   // freed on abort
+  std::vector<CleanupEntry> retire_log;  // EBR-retired on commit
+};
+
 struct alignas(util::kCacheLineSize) Txn {
   // --- Hot line: everything the per-access fast path touches. ---
   bool active = false;
@@ -191,7 +232,11 @@ struct alignas(util::kCacheLineSize) Txn {
   // hot path pays one local increment instead of a TLS counter lookup.
   std::uint64_t n_reads = 0;
   std::uint64_t n_writes = 0;
+  // This thread's dense id, cached at begin_txn for the commit path and
+  // the per-thread stats slots.
   std::size_t tid = 0;
+  // Set by the thread's first begin_txn; valid while `active`.
+  TxnLogs* logs = nullptr;
 
   // --- Validation bookkeeping and cold fields. ---
   // Entries [0, validated_count) are known valid at clock validated_epoch;
@@ -201,31 +246,32 @@ struct alignas(util::kCacheLineSize) Txn {
   std::uint64_t n_extensions = 0;
   std::uint32_t windex_gen = 0;
   AbortCode last_abort = AbortCode::None;
-  std::vector<ReadEntry> read_set;
-  std::vector<WriteEntry> write_set;
-  std::vector<std::uint64_t> windex =
-      std::vector<std::uint64_t>(kWindexInitialSlots, 0);
-  std::vector<AcquiredOrec> acquired;
-  std::vector<CleanupEntry> alloc_log;   // freed on abort
-  std::vector<CleanupEntry> retire_log;  // EBR-retired on commit
 
   void reset_logs() {
-    read_set.clear();
-    write_set.clear();
-    acquired.clear();
-    alloc_log.clear();
-    retire_log.clear();
+    logs->read_set.clear();
+    logs->write_set.clear();
+    logs->acquired.clear();
+    logs->alloc_log.clear();
+    logs->retire_log.clear();
     write_sig = 0;
     // O(1) index clear: stale-generation slots read as empty. Zero-fill
     // only on the (once per 2^32 transactions) generation wrap.
     if (++windex_gen == 0) {
-      std::fill(windex.begin(), windex.end(), std::uint64_t{0});
+      std::fill(logs->windex.begin(), logs->windex.end(), std::uint64_t{0});
       windex_gen = 1;
     }
   }
 };
 
-Txn& txn() noexcept;
+// g_txn's direct access needs both: a non-trivial destructor would make
+// every access call a TLS init function (TxnLogs above).
+static_assert(std::is_trivially_destructible_v<Txn>);
+static_assert(offsetof(Txn, validated_epoch) == util::kCacheLineSize,
+              "the fast-path fields must fit Txn's first cache line");
+
+inline constinit thread_local Txn g_txn;
+
+inline Txn& txn() noexcept { return g_txn; }
 
 [[noreturn]] void throw_abort(AbortCode code);
 
@@ -257,13 +303,14 @@ void windex_grow(Txn& t);
 // deletions within a transaction, so probes never skip holes).
 inline WriteEntry* windex_find(Txn& t, std::uintptr_t addr,
                                std::uint64_t h) noexcept {
-  const std::size_t mask = t.windex.size() - 1;
-  const std::uint64_t* slots = t.windex.data();
+  const std::size_t mask = t.logs->windex.size() - 1;
+  const std::uint64_t* slots = t.logs->windex.data();
   for (std::size_t i = static_cast<std::size_t>(h >> t.windex_shift);;
        i = (i + 1) & mask) {
     const std::uint64_t slot = slots[i];
     if ((slot >> 32) != t.windex_gen) return nullptr;
-    WriteEntry* w = &t.write_set[static_cast<std::uint32_t>(slot) - 1];
+    WriteEntry* w =
+        &t.logs->write_set[static_cast<std::uint32_t>(slot) - 1];
     if (w->addr == addr) return w;
   }
 }
@@ -271,10 +318,11 @@ inline WriteEntry* windex_find(Txn& t, std::uintptr_t addr,
 // Inserts write_set[idx] (caller guarantees the key is absent and the load
 // factor is below 3/4, so an empty slot exists).
 inline void windex_insert(Txn& t, std::uint64_t h, std::uint32_t idx) noexcept {
-  const std::size_t mask = t.windex.size() - 1;
+  std::vector<std::uint64_t>& windex = t.logs->windex;
+  const std::size_t mask = windex.size() - 1;
   std::size_t i = static_cast<std::size_t>(h >> t.windex_shift);
-  while ((t.windex[i] >> 32) == t.windex_gen) i = (i + 1) & mask;
-  t.windex[i] =
+  while ((windex[i] >> 32) == t.windex_gen) i = (i + 1) & mask;
+  windex[i] =
       (static_cast<std::uint64_t>(t.windex_gen) << 32) | (idx + 1);
 }
 
@@ -391,11 +439,12 @@ inline T read(const T* addr) {
   // Cheap dedup against the most recent entries keeps read sets compact in
   // pointer-chasing loops without an O(n) scan. Matches the same orec at
   // the same version anywhere in the window, independent of access order.
+  auto& read_set = t.logs->read_set;
   bool dup = false;
-  const std::size_t n = t.read_set.size();
+  const std::size_t n = read_set.size();
   for (std::size_t i = n > kReadDedupWindow ? n - kReadDedupWindow : 0; i < n;
        ++i) {
-    if (t.read_set[i].orec == &orec && t.read_set[i].version == v1) {
+    if (read_set[i].orec == &orec && read_set[i].version == v1) {
       dup = true;
       break;
     }
@@ -404,7 +453,7 @@ inline T read(const T* addr) {
     if (n >= config().read_capacity.load(std::memory_order_relaxed)) {
       detail::throw_abort(AbortCode::Capacity);
     }
-    t.read_set.push_back({&orec, v1});
+    read_set.push_back({&orec, v1});
   }
   return value;
 }
@@ -430,18 +479,19 @@ inline void write(T* addr, T value) {
       return;
     }
   }
-  if (t.write_set.size() >=
+  auto& write_set = t.logs->write_set;
+  if (write_set.size() >=
       config().write_capacity.load(std::memory_order_relaxed)) {
     detail::throw_abort(AbortCode::Capacity);
   }
-  if ((t.write_set.size() + 1) * 4 > t.windex.size() * 3) {
+  if ((write_set.size() + 1) * 4 > t.logs->windex.size() * 3) {
     detail::windex_grow(t);
   }
-  t.write_set.push_back({a, detail::to_word(value),
-                         static_cast<std::uint8_t>(sizeof(T))});
+  write_set.push_back({a, detail::to_word(value),
+                       static_cast<std::uint8_t>(sizeof(T))});
   t.write_sig |= bit;
   detail::windex_insert(t, h,
-                        static_cast<std::uint32_t>(t.write_set.size() - 1));
+                        static_cast<std::uint32_t>(write_set.size() - 1));
 }
 
 // Runs `body` as one transaction attempt. Returns true if it committed.
@@ -481,7 +531,7 @@ T* make(Args&&... args) {
   if (t.active) {
     // Abort unwind: the node was never published, so an immediate
     // destroy+free through the facade is safe (no grace period needed).
-    t.alloc_log.push_back(
+    t.logs->alloc_log.push_back(
         {p, [](void* q) { mem::dealloc(static_cast<T*>(q)); }});
   }
   return p;
@@ -494,7 +544,7 @@ void retire(T* p) {
     // Commit bookkeeping (htm.cpp) invokes the logged fn outside the
     // transaction; going through mem::retire there keeps the facade's
     // remote routing for nodes the committer does not own.
-    t.retire_log.push_back(
+    t.logs->retire_log.push_back(
         {p, [](void* q) { mem::retire(static_cast<T*>(q)); }});
   } else {
     mem::retire(p);

@@ -22,7 +22,13 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void add(std::uint64_t delta = 1) noexcept {
-    auto& slot = slots_[this_thread_id()].value;
+    add_at(this_thread_id(), delta);
+  }
+
+  // add() for a caller that already holds its thread id (`tid` must be
+  // this_thread_id()): saves the thread-local lookup on hot paths.
+  void add_at(std::size_t tid, std::uint64_t delta = 1) noexcept {
+    auto& slot = slots_[tid].value;
     slot.store(slot.load(std::memory_order_relaxed) + delta,
                std::memory_order_relaxed);
   }

@@ -50,9 +50,14 @@ class ThreadRegistry {
 
   // One past the largest id ever handed out; never decreases, so it also
   // covers recycled ids. Scans over per-thread slots (the sim-HTM
-  // write-back drain) stop here instead of at kMaxThreads.
+  // write-back drain, the EBR epoch advance) stop here instead of at
+  // kMaxThreads.
   std::size_t high_water() const noexcept {
-    return high_water_.load(std::memory_order_acquire);
+    // seq_cst: raise_high_water is seq_cst too, so a load that follows in
+    // the total order any seq_cst operation a thread made after it got its
+    // id sees that thread's mark (EbrDomain::try_advance relies on it).
+    // Same instruction as an acquire load on x86 and AArch64.
+    return high_water_.load(std::memory_order_seq_cst);
   }
 
  private:
@@ -60,13 +65,14 @@ class ThreadRegistry {
 
   // Monotone max. The load or CAS here is sequenced before the id is
   // returned, so a thread always has read a mark above its own id before it
-  // uses that id. The write-back drain relies on exactly this (htm.cpp).
+  // uses that id. The write-back drain (htm.cpp) and the EBR epoch advance
+  // (mem/ebr.hpp) rely on exactly this.
   void raise_high_water(std::size_t mark) noexcept {
-    std::size_t cur = high_water_.load(std::memory_order_acquire);
-    while (cur < mark &&
-           !high_water_.compare_exchange_weak(cur, mark,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
+    // seq_cst: puts the mark in the total order ahead of the thread's
+    // later seq_cst operations (see high_water()). Runs once per thread.
+    std::size_t cur = high_water_.load(std::memory_order_seq_cst);
+    while (cur < mark && !high_water_.compare_exchange_weak(
+                             cur, mark, std::memory_order_seq_cst)) {
     }
   }
 

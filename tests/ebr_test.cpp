@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -73,6 +74,77 @@ void nested_guard_roundtrip() {
 }
 
 TEST_F(EbrTest, GuardNestingKeepsCriticalSection) { nested_guard_roundtrip(); }
+
+// Runs `rounds` drains on a helper thread (drain must run outside every
+// guard, and the caller may hold one); returns the epoch afterwards.
+std::uint64_t drain_elsewhere(int rounds) {
+  std::thread([rounds] {
+    for (int i = 0; i < rounds; ++i) EbrDomain::instance().drain();
+  }).join();
+  return EbrDomain::instance().epoch();
+}
+
+// tsa: deliberate nested entry, as in nested_guard_roundtrip.
+NO_THREAD_SAFETY_ANALYSIS
+void nested_guard_keeps_outer_announcement() {
+  auto& dom = EbrDomain::instance();
+  Guard outer;
+  // No other thread runs, so the outer guard announced exactly this epoch
+  // and pins the epoch one advance past it.
+  const std::uint64_t e = dom.epoch();
+  EXPECT_EQ(drain_elsewhere(3), e + 1);
+  {
+    Guard inner;
+    EXPECT_EQ(drain_elsewhere(3), e + 1) << "the nested guard re-announced";
+  }
+  EXPECT_EQ(drain_elsewhere(3), e + 1)
+      << "the nested guard's exit cleared the outer announcement";
+}
+
+TEST_F(EbrTest, NestedGuardKeepsOuterAnnouncement) {
+  nested_guard_keeps_outer_announcement();
+}
+
+// Deterministic: a reader's guard, active at epoch g, pins the epoch at
+// g + 1, so nodes retired after it entered (stamped g and g + 1) stay
+// allocated until it exits, and are freed once it has.
+TEST_F(EbrTest, ActiveGuardKeepsLaterRetiresUntilExit) {
+  auto& dom = EbrDomain::instance();
+  std::atomic<int> stage{0};
+  std::uint64_t g = 0;
+  std::thread reader([&] {
+    Guard guard;
+    g = dom.epoch();
+    stage = 1;
+    while (stage.load() != 2) std::this_thread::yield();
+  });
+  while (stage.load() != 1) std::this_thread::yield();
+  dom.retire(new Tracked(1));
+  dom.drain();  // seals at g, advances once
+  EXPECT_EQ(dom.epoch(), g + 1);
+  dom.retire(new Tracked(2));
+  for (int i = 0; i < 4; ++i) dom.drain();
+  EXPECT_EQ(dom.epoch(), g + 1);
+  EXPECT_EQ(g_frees.load(), 0);
+  stage = 2;
+  reader.join();
+  dom.drain();
+  EXPECT_EQ(g_frees.load(), 2);
+}
+
+// The announcement loop behind EbrDomain::enter: an epoch that moved
+// between the caller's read and the store is re-announced, so a guard
+// never starts out stale (a stale announcement would pin the epoch for the
+// guard's whole life).
+TEST(EbrReservation, EpochMovedBeforeTheStoreIsReannounced) {
+  detail::Reservation r;
+  std::atomic<std::uint64_t> global{7};
+  r.announce(global, /*seen=*/5);
+  EXPECT_EQ(r.word.load(), detail::Reservation::busy(7));
+  r.announce(global, /*seen=*/7);
+  EXPECT_EQ(r.word.load(), detail::Reservation::busy(7));
+  EXPECT_NE(detail::Reservation::busy(0), 0u) << "epoch 0 reads as idle";
+}
 
 TEST_F(EbrTest, ThresholdTriggersCollection) {
   // Retire many objects with no guards active; the internal threshold must

@@ -13,9 +13,11 @@
 #include "core/combine_core.hpp"
 #include "core/engine_stats.hpp"
 #include "core/operation.hpp"
+#include "core/phase_exec.hpp"
 #include "sim_htm/htm.hpp"
 #include "sim_htm/txcell.hpp"
 #include "sync/tx_lock.hpp"
+#include "util/parking.hpp"
 #include "util/thread_id.hpp"
 
 namespace hcf::core {
@@ -365,6 +367,58 @@ TEST(StrongClock, MovesOnlyAtLockAcquisitionAndSelection) {
   EXPECT_EQ(moves(), 0u) << "publish_combined";
   own.mark_done(Phase::Combining);
   foreign.mark_done(Phase::Combining);
+}
+
+// Owner-side completions (private, visible, own op under the lock) store
+// Done without the exchange and wake that a combiner's completion makes:
+// nobody can be parked on an op its owner completes itself. Under
+// SpinPark, the policy that parks, they must leave the wake count alone
+// and still end in Done.
+template <CombinerMode Mode>
+void expect_owner_completion_without_wake(const PhasePolicy& policy,
+                                          Phase expected) {
+  NullDs ds;
+  PhaseMachine<NullDs, EnginePolicy<Mode>> pm(ds, uniform_classes(policy));
+  NoopOp op;
+  const std::uint64_t wakes = util::park_stats().wakes.total();
+  EXPECT_EQ(pm.execute(op), expected);
+  EXPECT_EQ(op.status(), OpStatus::Done);
+  EXPECT_EQ(op.completed_phase(), expected);
+  EXPECT_EQ(util::park_stats().wakes.total(), wakes);
+}
+
+TEST(OperationDescriptor, OwnerCompletionsNeverWake) {
+  constexpr auto park = util::WaitPolicy::SpinPark;
+  expect_owner_completion_without_wake<CombinerMode::Multi>(
+      {2, 3, 5, true, false, park}, Phase::Private);
+  expect_owner_completion_without_wake<CombinerMode::Multi>(
+      {0, 3, 5, true, false, park}, Phase::Visible);
+  expect_owner_completion_without_wake<CombinerMode::None>(
+      {0, 0, 0, false, false, park}, Phase::UnderLock);
+}
+
+// A combiner's completion must still wake an owner parked on its status
+// word: mark_done's exchange sees the parked bit and wakes.
+TEST(OperationDescriptor, CombinerCompletionWakesParkedOwner) {
+  NoopOp op;
+  op.prepare();
+  op.mark_announced();
+  op.mark_being_helped();
+  const std::uint64_t parks = util::park_stats().parks.total();
+  const std::uint64_t wakes = util::park_stats().wakes.total();
+  std::atomic<bool> returned{false};
+  std::thread owner([&] {
+    op.wait_done(util::WaitPolicy::SpinPark);
+    returned = true;
+  });
+  // The owner counts its park after publishing the parked bit, so once
+  // the count moves the combiner's exchange must see the bit.
+  while (util::park_stats().parks.total() == parks) std::this_thread::yield();
+  op.mark_done(Phase::Combining);
+  owner.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_EQ(op.status(), OpStatus::Done);
+  EXPECT_EQ(util::park_stats().wakes.total(), wakes + 1);
 }
 
 TEST(OperationDescriptor, DefaultRunMultiRunsAll) {

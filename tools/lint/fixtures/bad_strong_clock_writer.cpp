@@ -31,4 +31,15 @@ void aliases() noexcept {
   p->fetch_add(1);
 }
 
+// The clock's header-inline storage is the same word by another name.
+struct {
+  std::atomic<std::uint64_t> value;
+} g_strong_clock;
+
+void storage() noexcept {
+  g_strong_clock.value.fetch_add(1, std::memory_order_acq_rel);  // expect-lint: strong-clock-writer
+  auto& word = g_strong_clock.value;  // expect-lint: strong-clock-writer
+  word.store(0);
+}
+
 }  // namespace hcf::htm::detail

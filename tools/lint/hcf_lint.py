@@ -33,10 +33,11 @@ compiler dependency, by design):
                          non-transactional side effect that survives
                          aborts and replays on retry; hooks go around
                          attempts, never inside
-  seq-cst-justification  every memory_order_seq_cst in src/sim_htm/ must
-                         carry a '// seq_cst:' justification comment on
-                         the same line or in the comment block directly
-                         above — the substrate runs on acquire/release,
+  seq-cst-justification  every memory_order_seq_cst in src/sim_htm/ and
+                         src/mem/ must carry a '// seq_cst:'
+                         justification comment on the same line or in the
+                         comment block directly above — the substrate and
+                         the reclamation layer run on acquire/release,
                          and each seq_cst is a proof obligation
   phase-telemetry-pairing
                          in src/core/, every telemetry::phase_enter must
@@ -88,7 +89,8 @@ compiler dependency, by design):
                          a pooled block is heap corruption. Deliberate
                          escapes carry // lint:allow(node-alloc-via-facade)
   strong-clock-writer    only the body of bump_strong_clock() in the
-                         src/sim_htm/ zone may mutate strong_clock(): no
+                         src/sim_htm/ zone may mutate strong_clock() or
+                         its storage (g_strong_clock): no
                          fetch_*/store/exchange/compare_exchange, ++/--,
                          compound or plain assignment on it anywhere else,
                          and no address-of or non-const reference binding
@@ -145,7 +147,8 @@ RULES: dict[str, str] = {
         "engine transaction bodies subscribe to the lock first",
     "tx-telemetry-call": "no telemetry:: calls in a transaction body",
     "seq-cst-justification":
-        "memory_order_seq_cst in src/sim_htm/ needs a '// seq_cst:' comment",
+        "memory_order_seq_cst in src/sim_htm/ or src/mem/ needs a "
+        "'// seq_cst:' comment",
     "phase-telemetry-pairing":
         "phase_enter needs a matching phase_exit with no return between",
     "scan-requires-selection-lock":
@@ -175,7 +178,7 @@ SOURCE_EXTS = HEADER_EXTS | {".cpp", ".cc", ".cxx"}
 ALLOW_LINE_RE = re.compile(r"lint:allow\(([^)]*)\)")
 ALLOW_FILE_RE = re.compile(r"lint:allow-file\(([^)]*)\)")
 ZONE_RE = re.compile(
-    r"lint:zone\((sim_htm|core|telemetry|ds|src|tests|other)\)")
+    r"lint:zone\((sim_htm|mem|core|telemetry|ds|src|tests|other)\)")
 TELEMETRY_CORE_RE = re.compile(r"lint:telemetry-core")
 
 STRONG_CALL_RE = re.compile(
@@ -267,13 +270,15 @@ RETURN_RE = re.compile(r"\breturn\b")
 # deliberate escapes carry lint:allow.
 NEW_DELETE_RE = re.compile(r"\b(new|delete)\b")
 
-# strong_clock() writers. The call is matched with any namespace
+# strong_clock() writers. The call, and the clock's storage
+# (g_strong_clock, optionally `.value`), are matched with any namespace
 # qualification; a mutation is a mutating member call, ++/-- on either
 # side, or any (compound) assignment, and escapes are address-of after an
 # expression-start token (so the `std::atomic<...>& strong_clock()`
 # declarator is not one) and reference bindings, checked for `const` in
 # the statement text before them.
-_STRONG_CLOCK = r"(?:\w+::)*strong_clock\s*\(\s*\)"
+_STRONG_CLOCK = (r"(?:\w+::)*(?:strong_clock\s*\(\s*\)|"
+                 r"g_strong_clock(?:\s*\.\s*value)?)")
 STRONG_CLOCK_MUTATION_RES = [
     re.compile(r"\b" + _STRONG_CLOCK + r"\s*\.\s*(?:fetch_\w+|store|exchange|"
                r"compare_exchange_\w+)\s*\("),
@@ -378,6 +383,8 @@ def zone_for(path: str, raw_text: str) -> str:
         return "telemetry"
     if "/src/ds/" in norm or norm.startswith("src/ds/"):
         return "ds"
+    if "/src/mem/" in norm or norm.startswith("src/mem/"):
+        return "mem"
     if "/src/" in norm or norm.startswith("src/"):
         return "src"
     if "/tests/" in norm or norm.startswith("tests/"):
@@ -472,7 +479,7 @@ class FileLinter:
                             "root-relative (see CMake include_directories)")
 
     def check_strong_outside_sim_htm(self) -> None:
-        if self.zone not in ("src", "core", "ds"):
+        if self.zone not in ("src", "mem", "core", "ds"):
             return
         for m in STRONG_CALL_RE.finditer(self.stripped):
             self.report(
@@ -504,7 +511,7 @@ class FileLinter:
                 "state — build on EventRing/RuntimeGate instead")
 
     def check_seq_cst_justification(self) -> None:
-        if self.zone != "sim_htm":
+        if self.zone not in ("sim_htm", "mem"):
             return
         for m in SEQ_CST_RE.finditer(self.stripped):
             line = self.line_of(m.start())
@@ -513,10 +520,10 @@ class FileLinter:
             self.report(
                 line, "seq-cst-justification",
                 "memory_order_seq_cst without an adjacent '// seq_cst:' "
-                "justification comment; the substrate's ordering diet "
-                "requires each remaining seq_cst to document the proof "
-                "obligation it discharges (DESIGN.md, Substrate "
-                "performance)")
+                "justification comment; the ordering diet of the "
+                "substrate and the reclamation layer requires each "
+                "remaining seq_cst to document the proof obligation it "
+                "discharges (DESIGN.md §8.2, §14.3)")
 
     def seq_cst_justified(self, line: int) -> bool:
         """True if raw line `line` (1-based) carries a '// seq_cst:' marker
@@ -554,7 +561,7 @@ class FileLinter:
                 "site (docs/static_analysis.md)")
 
     def check_scan_requires_selection_lock(self) -> None:
-        if self.zone not in ("core", "src", "ds", "tests"):
+        if self.zone not in ("core", "src", "mem", "ds", "tests"):
             return
         for m in SCAN_CALL_RE.finditer(self.stripped):
             line = self.line_of(m.start())
@@ -588,7 +595,7 @@ class FileLinter:
         return -1
 
     def check_cross_shard_lock_order(self) -> None:
-        if self.zone not in ("core", "src", "ds", "tests"):
+        if self.zone not in ("core", "src", "mem", "ds", "tests"):
             return
         for m in FOR_LOOP_RE.finditer(self.stripped):
             open_idx = m.end() - 1
@@ -639,7 +646,7 @@ class FileLinter:
                     "shard container")
 
     def check_delegated_apply_no_selection_lock(self) -> None:
-        if self.zone not in ("core", "src", "ds", "tests"):
+        if self.zone not in ("core", "src", "mem", "ds", "tests"):
             return
         for m in DELEGATED_APPLY_DEF_RE.finditer(self.stripped):
             close_paren = self.match_paren(m.end() - 1)
