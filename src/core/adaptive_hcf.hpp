@@ -69,9 +69,6 @@ class AdaptiveHcfEngine {
   AdaptiveHcfEngine(DS& ds, std::vector<ClassConfig> classes,
                     std::size_t num_arrays = 1, AdaptiveOptions options = {})
       : inner_(ds, std::move(classes), num_arrays), options_(options) {
-    for (auto& s : last_window_) {
-      s = {};
-    }
     // The wait policy each class returns to when the controller unparks.
     for (std::size_t cls = 0; cls < inner_.num_classes(); ++cls) {
       base_wait_[cls].store(
@@ -162,15 +159,11 @@ class AdaptiveHcfEngine {
     const bool wait_flipped = update_park_mode();
     const bool parked = parked_wait();
     for (std::size_t cls = 0; cls < inner_.num_classes(); ++cls) {
-      std::uint64_t window_total = 0;
-      std::uint64_t window_private = 0;
-      for (int p = 0; p < kNumPhases; ++p) {
-        const std::uint64_t delta =
-            snap.completions[cls][static_cast<std::size_t>(p)] -
-            last_window_[cls].completions[cls][static_cast<std::size_t>(p)];
-        window_total += delta;
-        if (p == static_cast<int>(Phase::Private)) window_private = delta;
-      }
+      const auto window = snap.delta_since(last_window_[cls]);
+      const std::uint64_t window_total =
+          window.class_total(static_cast<int>(cls));
+      const std::uint64_t window_private =
+          window.completions[cls][static_cast<std::size_t>(Phase::Private)];
       if (window_total < options_.window / 8) {  // too few lean samples
         if (wait_flipped) {
           PhasePolicy policy = inner_.class_config(cls).policy;
@@ -183,8 +176,7 @@ class AdaptiveHcfEngine {
           static_cast<double>(window_private) /
           static_cast<double>(window_total);
       const double failures_per_op =
-          static_cast<double>(snap.attempt_failures[cls] -
-                              last_window_[cls].attempt_failures[cls]) /
+          static_cast<double>(window.attempt_failures[cls]) /
           static_cast<double>(window_total);
       Lean lean = Lean::Balanced;
       PhasePolicy policy = options_.balanced;

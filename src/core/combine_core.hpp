@@ -144,7 +144,7 @@ struct CombineCore {
           if constexpr (MarkBeingHelped) candidate->mark_being_helped();
           return true;
         });
-    stats.scan_words_skipped.add(words_skipped);
+    util::bump(stats.local().scan_words_skipped, words_skipped);
   }
 
   // Batch shaping: group by the adapter's combine key (so run_multi sees
@@ -153,8 +153,8 @@ struct CombineCore {
                                  EngineStats& stats) {
     if (batch.size() > 1 && op.combine_keyed()) {
       const std::size_t groups = group_batch(std::span<Op*>(batch));
-      stats.batch_groups.add(groups);
-      stats.batch_group_sizes.add(batch.size());
+      util::bump(stats.local().batch_groups, groups);
+      util::bump(stats.local().batch_group_sizes, batch.size());
     }
     prefetch_batch(std::span<Op* const>(batch));
   }
@@ -189,7 +189,7 @@ struct CombineCore {
       });
       if (committed) {
         assert(executed >= 1 && executed <= ops.size());
-        stats.combine_rounds.add();
+        util::bump(stats.local().combine_rounds);
         if (graph != nullptr) graph->record_clean(session_classes);
         retire_prefix(op, pa, ops, executed, Phase::Combining, stats);
       } else {
@@ -198,7 +198,7 @@ struct CombineCore {
         if (htm::last_abort_code() == htm::AbortCode::Capacity) break;
         if (htm::last_abort_code() == htm::AbortCode::Conflict) {
           if (graph != nullptr) {
-            stats.delegate_conflict_aborts.add();
+            util::bump(stats.local().delegate_conflict_aborts);
             // Charge the pair at most once per group apply, not once per
             // abort: a retry loop burning its whole budget against one
             // transient conflict would otherwise demote a seeded pair in
@@ -227,7 +227,7 @@ struct CombineCore {
     while (!ops.empty()) {
       const std::size_t executed = op.run_multi(ds, std::span<Op*>(ops));
       assert(executed >= 1 && executed <= ops.size());
-      stats.combine_rounds.add();
+      util::bump(stats.local().combine_rounds);
       retire_prefix(op, pa, ops, executed, Phase::UnderLock, stats);
     }
   }
@@ -300,8 +300,8 @@ struct CombineCore {
     }
     if (groups == 0) return;
     batch.resize(write);
-    stats.delegated_groups.add(groups);
-    stats.delegated_ops.add(delegated);
+    util::bump(stats.local().delegated_groups, groups);
+    util::bump(stats.local().delegated_ops, delegated);
     telemetry::delegate_groups(groups, delegated);
   }
 
@@ -324,9 +324,9 @@ struct CombineCore {
     ops.assign(group->ops, group->ops + group->count);
     const std::uint32_t classes = group->classes;
     if (by_delegate) {
-      stats.delegate_applies.add();
+      util::bump(stats.local().delegate_applies);
     } else {
-      stats.delegate_fallbacks.add();
+      util::bump(stats.local().delegate_fallbacks);
     }
     telemetry::delegate_apply(by_delegate, ops.size());
     // Charge the commutativity graph only on the delegate path: a delegate
@@ -411,7 +411,7 @@ struct CombineCore {
     // this lock), so the selection capability is legitimately ours even
     // though pa.selection_lock() itself stays free.
     pa.assume_scan_serialized();
-    stats.combiner_sessions.add();
+    util::bump(stats.local().combiner_sessions);
     std::vector<Op*>& batch = scratch();
     for (int round = 0; round < scan_rounds; ++round) {
       batch.clear();
@@ -420,17 +420,17 @@ struct CombineCore {
       // can scan concurrently.
       const std::size_t words_skipped = pa.collect_announced(
           batch, [](Op* op) { return op->status() == OpStatus::Announced; });
-      stats.scan_words_skipped.add(words_skipped);
+      util::bump(stats.local().scan_words_skipped, words_skipped);
       if (batch.empty()) {
         if (own.status() == OpStatus::Done) return;
         continue;
       }
       group_and_prefetch(own, batch, stats);
-      stats.ops_selected.add(batch.size());
+      util::bump(stats.local().ops_selected, batch.size());
       telemetry::combine_begin(batch.size());
       std::span<Op*> pending(batch);
       while (!pending.empty()) {
-        stats.combine_rounds.add();
+        util::bump(stats.local().combine_rounds);
         const std::size_t k = own.run_multi(ds, pending);
         assert(k >= 1 && k <= pending.size());
         for (std::size_t i = 0; i < k; ++i) {
@@ -438,7 +438,7 @@ struct CombineCore {
           const int cls = done->class_id();
           done->mark_done(Phase::UnderLock);
           stats.record_completion(cls, Phase::UnderLock);
-          if (done != &own) stats.helped_ops.add();
+          if (done != &own) util::bump(stats.local().helped_ops);
         }
         pending = pending.subspan(k);
         pa.publish_combined(k);
@@ -471,7 +471,7 @@ struct CombineCore {
       const int cls = done->class_id();
       done->mark_done(phase);
       stats.record_completion(cls, phase);
-      if (done != &own) stats.helped_ops.add();
+      if (done != &own) util::bump(stats.local().helped_ops);
     }
     ops.erase(ops.begin(), ops.begin() + static_cast<std::ptrdiff_t>(k));
     pa.publish_combined(k);

@@ -7,7 +7,6 @@
 
 #include "core/adaptive_hcf.hpp"
 #include "core/combine_core.hpp"
-#include "core/core_lock_engine.hpp"
 #include "core/engine_stats.hpp"
 #include "core/fc_engine.hpp"
 #include "core/hcf_engine.hpp"

@@ -12,160 +12,35 @@ namespace hcf::core {
 
 inline constexpr int kMaxOpClasses = 4;
 
-struct EngineStats {
+// The engine's counter set: one declaration, also the plain-value snapshot
+// for measurement intervals (util/counters.hpp).
+struct EngineStatsSnapshot : util::CounterSet<EngineStatsSnapshot> {
   // completions[cls][phase]
-  std::array<std::array<util::Counter, kNumPhases>, kMaxOpClasses> completions;
+  std::array<std::array<std::uint64_t, kNumPhases>, kMaxOpClasses>
+      completions{};
   // Failed HTM attempts per class (any phase) — the contention signal the
   // adaptive controller consumes; completions alone hide retry storms.
-  std::array<util::Counter, kMaxOpClasses> attempt_failures;
-  util::Counter combiner_sessions;   // times a thread became a combiner
-  util::Counter ops_selected;        // total ops chosen by combiners
-  util::Counter combine_rounds;      // run_multi invocations by combiners
-  util::Counter helped_ops;          // ops completed by a thread != owner
+  std::array<std::uint64_t, kMaxOpClasses> attempt_failures{};
+  std::uint64_t combiner_sessions = 0;   // times a thread became a combiner
+  std::uint64_t ops_selected = 0;        // total ops chosen by combiners
+  std::uint64_t combine_rounds = 0;      // run_multi invocations by combiners
+  std::uint64_t helped_ops = 0;          // ops completed by a thread != owner
   // Combiner fast-path telemetry (DESIGN.md §9): occupancy words the
   // selection scan never touched, and the key-grouping shape of selected
   // batches (sum of group sizes over count of groups = mean group size).
-  util::Counter scan_words_skipped;  // empty 64-slot words skipped per scan
-  util::Counter batch_groups;        // distinct combine-key groups formed
-  util::Counter batch_group_sizes;   // ops covered by those groups
+  std::uint64_t scan_words_skipped = 0;  // empty 64-slot words skipped/scan
+  std::uint64_t batch_groups = 0;        // distinct combine-key groups formed
+  std::uint64_t batch_group_sizes = 0;   // ops covered by those groups
   // Parallel combining (core/delegation.hpp, DESIGN.md §13).
-  util::Counter delegated_groups;    // groups published for delegates
-  util::Counter delegated_ops;       // ops inside those groups
-  util::Counter delegate_applies;    // groups applied by their delegate
-  util::Counter delegate_fallbacks;  // unclaimed groups applied by combiner
-  util::Counter delegate_conflict_aborts;  // HTM conflicts in delegated runs
+  std::uint64_t delegated_groups = 0;    // groups published for delegates
+  std::uint64_t delegated_ops = 0;       // ops inside those groups
+  std::uint64_t delegate_applies = 0;    // groups applied by their delegate
+  std::uint64_t delegate_fallbacks = 0;  // unclaimed groups applied by combiner
+  std::uint64_t delegate_conflict_aborts = 0;  // HTM conflicts in delegation
 
-  void record_completion(int cls, Phase phase) noexcept {
-    completions[static_cast<std::size_t>(cls % kMaxOpClasses)]
-               [static_cast<std::size_t>(phase)]
-                   .add();
-  }
-
-  void record_attempt_failure(int cls) noexcept {
-    attempt_failures[static_cast<std::size_t>(cls % kMaxOpClasses)].add();
-  }
-
-  std::uint64_t phase_total(Phase phase) const noexcept {
-    std::uint64_t sum = 0;
-    for (const auto& cls : completions) {
-      sum += cls[static_cast<std::size_t>(phase)].total();
-    }
-    return sum;
-  }
-
-  std::uint64_t class_total(int cls) const noexcept {
-    std::uint64_t sum = 0;
-    for (const auto& c : completions[static_cast<std::size_t>(cls)]) {
-      sum += c.total();
-    }
-    return sum;
-  }
-
-  std::uint64_t total() const noexcept {
-    std::uint64_t sum = 0;
-    for (int p = 0; p < kNumPhases; ++p) {
-      sum += phase_total(static_cast<Phase>(p));
-    }
-    return sum;
-  }
-
-  // Average operations applied per combiner session (the paper's
-  // "combining degree").
-  double combining_degree() const noexcept {
-    const auto sessions = combiner_sessions.total();
-    return sessions == 0
-               ? 0.0
-               : static_cast<double>(ops_selected.total()) /
-                     static_cast<double>(sessions);
-  }
-
-  void reset() noexcept {
-    for (auto& cls : completions) {
-      for (auto& c : cls) c.reset();
-    }
-    for (auto& c : attempt_failures) c.reset();
-    combiner_sessions.reset();
-    ops_selected.reset();
-    combine_rounds.reset();
-    helped_ops.reset();
-    scan_words_skipped.reset();
-    batch_groups.reset();
-    batch_group_sizes.reset();
-    delegated_groups.reset();
-    delegated_ops.reset();
-    delegate_applies.reset();
-    delegate_fallbacks.reset();
-    delegate_conflict_aborts.reset();
-  }
-};
-
-// Plain-value snapshot for measurement intervals.
-struct EngineStatsSnapshot {
-  std::array<std::array<std::uint64_t, kNumPhases>, kMaxOpClasses>
-      completions{};
-  std::array<std::uint64_t, kMaxOpClasses> attempt_failures{};
-  std::uint64_t combiner_sessions = 0;
-  std::uint64_t ops_selected = 0;
-  std::uint64_t combine_rounds = 0;
-  std::uint64_t helped_ops = 0;
-  std::uint64_t scan_words_skipped = 0;
-  std::uint64_t batch_groups = 0;
-  std::uint64_t batch_group_sizes = 0;
-  std::uint64_t delegated_groups = 0;
-  std::uint64_t delegated_ops = 0;
-  std::uint64_t delegate_applies = 0;
-  std::uint64_t delegate_fallbacks = 0;
-  std::uint64_t delegate_conflict_aborts = 0;
-
-  static EngineStatsSnapshot capture(const EngineStats& s) noexcept {
-    EngineStatsSnapshot snap;
-    for (int c = 0; c < kMaxOpClasses; ++c) {
-      for (int p = 0; p < kNumPhases; ++p) {
-        snap.completions[c][p] = s.completions[c][p].total();
-      }
-    }
-    for (int c = 0; c < kMaxOpClasses; ++c) {
-      snap.attempt_failures[c] = s.attempt_failures[c].total();
-    }
-    snap.combiner_sessions = s.combiner_sessions.total();
-    snap.ops_selected = s.ops_selected.total();
-    snap.combine_rounds = s.combine_rounds.total();
-    snap.helped_ops = s.helped_ops.total();
-    snap.scan_words_skipped = s.scan_words_skipped.total();
-    snap.batch_groups = s.batch_groups.total();
-    snap.batch_group_sizes = s.batch_group_sizes.total();
-    snap.delegated_groups = s.delegated_groups.total();
-    snap.delegated_ops = s.delegated_ops.total();
-    snap.delegate_applies = s.delegate_applies.total();
-    snap.delegate_fallbacks = s.delegate_fallbacks.total();
-    snap.delegate_conflict_aborts = s.delegate_conflict_aborts.total();
-    return snap;
-  }
-
-  EngineStatsSnapshot delta_since(const EngineStatsSnapshot& base) const {
-    EngineStatsSnapshot d;
-    for (int c = 0; c < kMaxOpClasses; ++c) {
-      for (int p = 0; p < kNumPhases; ++p) {
-        d.completions[c][p] = completions[c][p] - base.completions[c][p];
-      }
-    }
-    for (int c = 0; c < kMaxOpClasses; ++c) {
-      d.attempt_failures[c] = attempt_failures[c] - base.attempt_failures[c];
-    }
-    d.combiner_sessions = combiner_sessions - base.combiner_sessions;
-    d.ops_selected = ops_selected - base.ops_selected;
-    d.combine_rounds = combine_rounds - base.combine_rounds;
-    d.helped_ops = helped_ops - base.helped_ops;
-    d.scan_words_skipped = scan_words_skipped - base.scan_words_skipped;
-    d.batch_groups = batch_groups - base.batch_groups;
-    d.batch_group_sizes = batch_group_sizes - base.batch_group_sizes;
-    d.delegated_groups = delegated_groups - base.delegated_groups;
-    d.delegated_ops = delegated_ops - base.delegated_ops;
-    d.delegate_applies = delegate_applies - base.delegate_applies;
-    d.delegate_fallbacks = delegate_fallbacks - base.delegate_fallbacks;
-    d.delegate_conflict_aborts =
-        delegate_conflict_aborts - base.delegate_conflict_aborts;
-    return d;
+  static EngineStatsSnapshot capture(
+      const util::CounterBlock<EngineStatsSnapshot>& s) noexcept {
+    return s.sum();
   }
 
   std::uint64_t phase_total(Phase phase) const noexcept {
@@ -190,6 +65,8 @@ struct EngineStatsSnapshot {
     return sum;
   }
 
+  // Average operations applied per combiner session (the paper's
+  // "combining degree").
   double combining_degree() const noexcept {
     return combiner_sessions == 0
                ? 0.0
@@ -197,5 +74,19 @@ struct EngineStatsSnapshot {
                      static_cast<double>(combiner_sessions);
   }
 };
+
+// The live per-thread counters of one engine.
+struct EngineStats : util::CounterBlock<EngineStatsSnapshot> {
+  void record_completion(int cls, Phase phase) noexcept {
+    util::bump(local().completions[static_cast<std::size_t>(
+        cls % kMaxOpClasses)][static_cast<std::size_t>(phase)]);
+  }
+
+  void record_attempt_failure(int cls) noexcept {
+    util::bump(local().attempt_failures[static_cast<std::size_t>(
+        cls % kMaxOpClasses)]);
+  }
+};
+static_assert(sizeof(EngineStats) <= 32 * 1024);
 
 }  // namespace hcf::core

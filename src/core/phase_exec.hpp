@@ -507,8 +507,8 @@ class PhaseMachine {
       // Only announcing classes count as combining sessions — a TLE-like
       // class falling through to the lock is not a combiner (keeps the
       // Fig. 4 combining-degree metric meaningful).
-      stats_.combiner_sessions.add();
-      stats_.ops_selected.add(ops_to_help.size());
+      util::bump(stats_.local().combiner_sessions);
+      util::bump(stats_.local().ops_selected, ops_to_help.size());
       session_ops = ops_to_help.size();
       telemetry::combine_begin(session_ops);
       // Parallel combining: hand disjoint key-groups of the batch back to

@@ -103,7 +103,8 @@ class PublicationArray {
   // f(op, slot_index) for every non-empty hinted slot; empty hinted slots
   // (stale bits from remove_tx) are skipped after re-verification.
   // Returns the number of occupancy words skipped because no slot in them
-  // was hinted (the scan-cost signal behind EngineStats::scan_words_skipped).
+  // was hinted (the scan-cost signal behind
+  // EngineStatsSnapshot::scan_words_skipped).
   template <typename F>
   std::size_t for_each_announced(F&& f) REQUIRES(selection_lock_) {
     std::size_t words_skipped = 0;

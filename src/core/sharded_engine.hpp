@@ -159,7 +159,7 @@ class ShardedEngine {
   EngineStatsSnapshot stats_snapshot() const noexcept {
     EngineStatsSnapshot total{};
     for (const auto& shard : shards_) {
-      accumulate(total, EngineStatsSnapshot::capture(shard->stats()));
+      total.accumulate(EngineStatsSnapshot::capture(shard->stats()));
     }
     return total;
   }
@@ -215,32 +215,6 @@ class ShardedEngine {
   DS& data(std::size_t i) noexcept { return shards_[i]->data(); }
 
  private:
-  static void accumulate(EngineStatsSnapshot& into,
-                         const EngineStatsSnapshot& from) noexcept {
-    for (int c = 0; c < kMaxOpClasses; ++c) {
-      for (int p = 0; p < kNumPhases; ++p) {
-        into.completions[static_cast<std::size_t>(c)]
-                        [static_cast<std::size_t>(p)] +=
-            from.completions[static_cast<std::size_t>(c)]
-                            [static_cast<std::size_t>(p)];
-      }
-      into.attempt_failures[static_cast<std::size_t>(c)] +=
-          from.attempt_failures[static_cast<std::size_t>(c)];
-    }
-    into.combiner_sessions += from.combiner_sessions;
-    into.ops_selected += from.ops_selected;
-    into.combine_rounds += from.combine_rounds;
-    into.helped_ops += from.helped_ops;
-    into.scan_words_skipped += from.scan_words_skipped;
-    into.batch_groups += from.batch_groups;
-    into.batch_group_sizes += from.batch_group_sizes;
-    into.delegated_groups += from.delegated_groups;
-    into.delegated_ops += from.delegated_ops;
-    into.delegate_applies += from.delegate_applies;
-    into.delegate_fallbacks += from.delegate_fallbacks;
-    into.delegate_conflict_aborts += from.delegate_conflict_aborts;
-  }
-
   // tsa: a loop over N runtime shard locks acquires/releases a capability
   // set TSA cannot name; the ascending-order discipline is enforced by the
   // linter's cross-shard-lock-order rule instead.

@@ -85,7 +85,7 @@ void retire(T* p) {
       return;
     }
   }
-  reclaim_stats().local_retires.add();
+  util::bump(reclaim_stats().local().local_retires);
   EbrDomain::instance().retire(p, &detail::retire_deleter<T>);
 }
 

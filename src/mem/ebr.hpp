@@ -263,7 +263,7 @@ class CAPABILITY("ebr.domain") EbrDomain {
     b.nodes = std::move(limbo.open);
     limbo.open.clear();
     limbo.sealed.push_back(std::move(b));
-    reclaim_stats().batches_sealed.add();
+    util::bump(reclaim_stats().local().batches_sealed);
   }
 
   // Appends an inbox drain's deferred chain to the limbo as a stamped
@@ -277,7 +277,7 @@ class CAPABILITY("ebr.domain") EbrDomain {
     b.chain_len = d.deferred_count;
     limbo.sealed.push_back(std::move(b));
     limbo.total += d.deferred_count;
-    reclaim_stats().batches_sealed.add();
+    util::bump(reclaim_stats().local().batches_sealed);
   }
 
   // Advances the epoch if every thread inside a guard announced it. The

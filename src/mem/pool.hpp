@@ -181,56 +181,31 @@ inline void set_remote_flush_batch(std::size_t n) noexcept {
 
 // ---- Reclamation statistics ----------------------------------------------
 
-struct ReclaimStats {
-  util::Counter local_retires;    // retires that stayed on the local limbo
-  util::Counter remote_retires;   // pre-grace retires sent to an owner pool
-  util::Counter remote_flushes;   // outbound bin -> inbox CAS publishes
-  util::Counter remote_drains;    // non-empty inbox drains by owners
-  util::Counter drained_blocks;   // blocks moved out of inboxes
-  util::Counter batches_sealed;   // epoch-stamped limbo batches created
-  util::Counter pool_refills;     // arena refills (free list ran dry)
+// The reclamation counter set: one declaration, also the plain-value
+// snapshot for measurement intervals (harness/driver.hpp).
+struct ReclaimSnapshot : util::CounterSet<ReclaimSnapshot> {
+  std::uint64_t local_retires = 0;   // retires that stayed on the local limbo
+  std::uint64_t remote_retires = 0;  // pre-grace retires sent to an owner pool
+  std::uint64_t remote_flushes = 0;  // outbound bin -> inbox CAS publishes
+  std::uint64_t remote_drains = 0;   // non-empty inbox drains by owners
+  std::uint64_t drained_blocks = 0;  // blocks moved out of inboxes
+  std::uint64_t batches_sealed = 0;  // epoch-stamped limbo batches created
+  std::uint64_t pool_refills = 0;    // arena refills (free list ran dry)
+
+  static ReclaimSnapshot capture() noexcept;
 };
+
+using ReclaimStats = util::CounterBlock<ReclaimSnapshot>;
+static_assert(sizeof(ReclaimStats) <= 8 * 1024);
 
 inline ReclaimStats& reclaim_stats() noexcept {
   static ReclaimStats s;
   return s;
 }
 
-// Plain-value snapshot for measurement intervals (harness/driver.hpp).
-struct ReclaimSnapshot {
-  std::uint64_t local_retires = 0;
-  std::uint64_t remote_retires = 0;
-  std::uint64_t remote_flushes = 0;
-  std::uint64_t remote_drains = 0;
-  std::uint64_t drained_blocks = 0;
-  std::uint64_t batches_sealed = 0;
-  std::uint64_t pool_refills = 0;
-
-  static ReclaimSnapshot capture() noexcept {
-    const ReclaimStats& s = reclaim_stats();
-    ReclaimSnapshot snap;
-    snap.local_retires = s.local_retires.total();
-    snap.remote_retires = s.remote_retires.total();
-    snap.remote_flushes = s.remote_flushes.total();
-    snap.remote_drains = s.remote_drains.total();
-    snap.drained_blocks = s.drained_blocks.total();
-    snap.batches_sealed = s.batches_sealed.total();
-    snap.pool_refills = s.pool_refills.total();
-    return snap;
-  }
-
-  ReclaimSnapshot delta_since(const ReclaimSnapshot& base) const noexcept {
-    ReclaimSnapshot d;
-    d.local_retires = local_retires - base.local_retires;
-    d.remote_retires = remote_retires - base.remote_retires;
-    d.remote_flushes = remote_flushes - base.remote_flushes;
-    d.remote_drains = remote_drains - base.remote_drains;
-    d.drained_blocks = drained_blocks - base.drained_blocks;
-    d.batches_sealed = batches_sealed - base.batches_sealed;
-    d.pool_refills = pool_refills - base.pool_refills;
-    return d;
-  }
-};
+inline ReclaimSnapshot ReclaimSnapshot::capture() noexcept {
+  return reclaim_stats().sum();
+}
 
 // ---- In-transaction probe -------------------------------------------------
 // The simulator registers a probe at startup (htm.cpp) so the pool can
@@ -441,8 +416,8 @@ class Pool {
     }
     const std::size_t moved = r.freed + r.deferred_count;
     if (moved > 0) {
-      reclaim_stats().remote_drains.add();
-      reclaim_stats().drained_blocks.add(moved);
+      util::bump(reclaim_stats().local().remote_drains);
+      util::bump(reclaim_stats().local().drained_blocks, moved);
       telemetry::remote_drain(moved);
     }
     return r;
@@ -475,7 +450,7 @@ class Pool {
       ++n;
       chain = next;
     }
-    reclaim_stats().pool_refills.add();
+    util::bump(reclaim_stats().local().pool_refills);
     (void)n;
   }
 
@@ -531,7 +506,7 @@ struct OutboundBins {
     Bin& b = bins[owner];
     if (b.head == nullptr) return;
     pool_for_slot(owner).inbox().push_chain(b.head, b.tail, b.n);
-    reclaim_stats().remote_flushes.add();
+    util::bump(reclaim_stats().local().remote_flushes);
     telemetry::remote_retire_flush(owner, b.n);
     b.head = nullptr;
     b.tail = nullptr;
@@ -586,7 +561,7 @@ inline void retire_block_remote(BlockHeader* h) {
   assert(h->owner() != util::this_thread_id());
   h->set_flags(kFlagDeferred);
   detail::outbound().add(h->owner(), h);
-  reclaim_stats().remote_retires.add();
+  util::bump(reclaim_stats().local().remote_retires);
 }
 
 // Approximate inbox depth for a pool slot (tests and the shutdown drain's

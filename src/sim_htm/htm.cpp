@@ -103,7 +103,7 @@ void begin_txn(Txn& t) {
   t.snapshot_strong = strong_clock().load(std::memory_order_acquire);
   t.validated_epoch = t.snapshot_epoch;
   t.validated_count = 0;
-  stats().starts.add_at(t.tid);
+  util::bump(stats().local(t.tid).starts);
 }
 
 void store_sized(std::uintptr_t addr, std::uint64_t value,
@@ -183,12 +183,10 @@ bool acquire_write_orecs(Txn& t) noexcept {
 }
 
 void flush_access_counters(Txn& t) noexcept {
-  Stats& s = stats();
-  if (t.n_reads != 0) s.tx_reads.add_at(t.tid, t.n_reads);
-  if (t.n_writes != 0) s.tx_writes.add_at(t.tid, t.n_writes);
-  if (t.n_extensions != 0) {
-    s.snapshot_extensions.add_at(t.tid, t.n_extensions);
-  }
+  StatsSnapshot& s = stats().local(t.tid);
+  if (t.n_reads != 0) util::bump(s.tx_reads, t.n_reads);
+  if (t.n_writes != 0) util::bump(s.tx_writes, t.n_writes);
+  if (t.n_extensions != 0) util::bump(s.snapshot_extensions, t.n_extensions);
   t.n_reads = 0;
   t.n_writes = 0;
   t.n_extensions = 0;
@@ -207,7 +205,7 @@ void finish_commit_bookkeeping(Txn& t) noexcept {
   for (const auto& r : retire_log) r.fn(r.ptr);
   retire_log.clear();
   flush_access_counters(t);
-  stats().commits.add_at(t.tid);
+  util::bump(stats().local(t.tid).commits);
 }
 
 }  // namespace
@@ -231,7 +229,7 @@ void commit_txn(Txn& t) {
     if (global_clock().load(std::memory_order_acquire) != t.snapshot_epoch) {
       extend_snapshot(t);
     }
-    stats().read_only_commits.add_at(t.tid);
+    util::bump(stats().local(t.tid).read_only_commits);
     finish_commit_bookkeeping(t);
     telemetry::htm_commit(/*read_only=*/true);
     return;
@@ -308,7 +306,7 @@ void abort_cleanup(Txn& t, AbortCode code) noexcept {
   detail::flush_access_counters(t);
   t.last_abort = code;
   const auto idx = static_cast<std::size_t>(code);
-  stats().aborts[idx < kNumAbortCodes ? idx : 0].add_at(t.tid);
+  util::bump(stats().local(t.tid).aborts[idx < kNumAbortCodes ? idx : 0]);
   // The transaction is torn down (t.active is false): recording here is a
   // plain per-thread side effect, not an in-transaction call.
   telemetry::htm_abort(static_cast<int>(code));

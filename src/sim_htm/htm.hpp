@@ -591,7 +591,7 @@ inline void strong_store(T* addr, T value) noexcept {
   const std::uint64_t ver = detail::strong_lock_orec(orec);
   detail::atomic_store_release(addr, value);
   detail::strong_unlock_orec(orec, ver, /*bump=*/true);
-  stats().strong_stores.add();
+  util::bump(stats().local().strong_stores);
 }
 
 template <detail::TxValue T>
@@ -608,7 +608,7 @@ inline bool strong_cas(T* addr, T expected, T desired) noexcept {
   }
   detail::atomic_store_release(addr, desired);
   detail::strong_unlock_orec(orec, ver, /*bump=*/true);
-  stats().strong_stores.add();
+  util::bump(stats().local().strong_stores);
   return true;
 }
 
@@ -622,7 +622,7 @@ inline T strong_fetch_add(T* addr, T delta) noexcept {
   const T cur = detail::atomic_load_acquire(addr);
   detail::atomic_store_release(addr, static_cast<T>(cur + delta));
   detail::strong_unlock_orec(orec, ver, /*bump=*/true);
-  stats().strong_stores.add();
+  util::bump(stats().local().strong_stores);
   return cur;
 }
 
@@ -636,7 +636,7 @@ inline T strong_exchange(T* addr, T value) noexcept {
   const T cur = detail::atomic_load_acquire(addr);
   detail::atomic_store_release(addr, value);
   detail::strong_unlock_orec(orec, ver, /*bump=*/true);
-  stats().strong_stores.add();
+  util::bump(stats().local().strong_stores);
   return cur;
 }
 

@@ -110,7 +110,7 @@ inline void check_strong_op(bool in_tx, const char* what) noexcept {
   const Mode m = mode();
   if (m == Mode::Off) return;
   if (m == Mode::Trap) detail::trap("strong-op-inside-tx", what);
-  stats().proto_strong_in_tx.add();
+  util::bump(stats().local().proto_strong_in_tx);
 }
 
 // Instrumented access that is not naturally aligned for its size. Returns
@@ -124,7 +124,7 @@ inline void check_access_alignment(const void* addr,
   const Mode m = mode();
   if (m == Mode::Off) return;
   if (m == Mode::Trap) detail::trap("misaligned-access", "htm::read/write");
-  stats().proto_misaligned.add();
+  util::bump(stats().local().proto_misaligned);
 }
 
 // Commit of a transaction that never subscribed to any elidable lock while
@@ -133,7 +133,9 @@ inline void check_access_alignment(const void* addr,
 inline void check_commit_subscription(bool subscribed) noexcept {
   if constexpr (!kEnabled) return;
   if (subscribed || mode() == Mode::Off) return;
-  if (held_elidable_locks() > 0) stats().proto_unsubscribed_commits.add();
+  if (held_elidable_locks() > 0) {
+    util::bump(stats().local().proto_unsubscribed_commits);
+  }
 }
 
 }  // namespace hcf::htm::protocol

@@ -43,8 +43,6 @@ enum class BackoffSite : std::uint64_t {
   kPhaseVisible = 0x4cf2,     // shared phase machine, TryVisible attempts
   kPhaseCombining = 0x4cf3,   // combine core, speculative combining rounds
   kScmSpeculate = 0x5c30,     // SCM free/aux speculation rounds
-  kCoreLockMain = 0xc07e,     // CoreLock main TLE loop
-  kCoreLockAux = 0xc07f,      // CoreLock retries under the per-core lock
   kLockAcquire = 0x51ed2701,  // TxLock acquisition loop
 };
 

@@ -71,9 +71,9 @@ enum class ParkResult : std::uint8_t {
   Spurious = 1,  // kernel returned but the word still holds `expected`
 };
 
-// Global parking counters (always-on, cache-line-sharded like every other
-// util::Counter): parks that actually reached the kernel wait, wake calls
-// that issued a syscall, parks that returned with the word unchanged, and
+// Global parking counters (always-on, standalone per-thread util::Counter
+// blocks): parks that actually reached the kernel wait, wake calls that
+// issued a syscall, parks that returned with the word unchanged, and
 // sched_yield calls from the yield tier (the oversubscription signal the
 // adaptive wait-policy controller watches — a high yields-per-op rate means
 // waiters are burning quanta that the combiner needs).
@@ -82,13 +82,6 @@ struct ParkStats {
   Counter wakes;
   Counter spurious_wakes;
   Counter yields;
-
-  void reset() noexcept {
-    parks.reset();
-    wakes.reset();
-    spurious_wakes.reset();
-    yields.reset();
-  }
 };
 
 inline ParkStats& park_stats() noexcept {

@@ -105,7 +105,7 @@ TEST(AdaptiveHcf, PolicyChangeMidRunKeepsExactlyOnce) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(ds.value.get(), static_cast<std::uint64_t>(kThreads) * kOps);
-  EXPECT_EQ(engine.stats().total(),
+  EXPECT_EQ(engine.stats().sum().total(),
             static_cast<std::uint64_t>(kThreads) * kOps);
   mem::EbrDomain::instance().drain();
 }

@@ -199,7 +199,6 @@ TEST(CrossEngine, EveryEngineMeetsDequeSequentialSpec) {
   check_deque_sequential_spec<Engines<Dq>::Lock>();
   check_deque_sequential_spec<Engines<Dq>::Tle>();
   check_deque_sequential_spec<Engines<Dq>::Scm>();
-  check_deque_sequential_spec<Engines<Dq>::CoreLock>();
   check_deque_sequential_spec<Engines<Dq>::Fc>();
   check_deque_sequential_spec<Engines<Dq>::TleFc>();
   check_deque_sequential_spec<Engines<Dq>::Hcf>();
@@ -211,7 +210,6 @@ TEST(CrossEngine, EveryEngineMeetsPqSequentialSpec) {
   check_pq_sequential_spec<Engines<Pq>::Lock>();
   check_pq_sequential_spec<Engines<Pq>::Tle>();
   check_pq_sequential_spec<Engines<Pq>::Scm>();
-  check_pq_sequential_spec<Engines<Pq>::CoreLock>();
   check_pq_sequential_spec<Engines<Pq>::Fc>();
   check_pq_sequential_spec<Engines<Pq>::TleFc>();
   check_pq_sequential_spec<Engines<Pq>::Hcf>();

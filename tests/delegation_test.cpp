@@ -237,8 +237,8 @@ TEST(DelegateBatch, CarvesDisjointKeyGroupsAndKeepsOwnGroup) {
   // stay with the combiner.
   EXPECT_EQ(session.num_groups(), 2u);
   EXPECT_EQ(fx.batch.size(), 3u);
-  EXPECT_EQ(stats.delegated_groups.total(), 2u);
-  EXPECT_EQ(stats.delegated_ops.total(), 5u);
+  EXPECT_EQ(stats.sum().delegated_groups, 2u);
+  EXPECT_EQ(stats.sum().delegated_ops, 5u);
   for (Op* kept : fx.batch) {
     EXPECT_EQ(kept->status(), core::OpStatus::BeingHelped);
   }
@@ -263,7 +263,7 @@ TEST(DelegateBatch, CarvesDisjointKeyGroupsAndKeepsOwnGroup) {
   }
   for (const auto k : range_a) EXPECT_TRUE(table.contains(k));
   for (const auto k : range_b) EXPECT_TRUE(table.contains(k));
-  EXPECT_EQ(stats.delegate_fallbacks.total(), 2u);
+  EXPECT_EQ(stats.sum().delegate_fallbacks, 2u);
   mem::EbrDomain::instance().drain();
 }
 
@@ -280,7 +280,7 @@ TEST(DelegateBatch, UnseededGraphDelegatesNothing) {
   Core::delegate_batch(*own, fx.batch, session, graph, stats);
   EXPECT_EQ(session.num_groups(), 0u);
   EXPECT_EQ(fx.batch.size(), 6u);
-  EXPECT_EQ(stats.delegated_groups.total(), 0u);
+  EXPECT_EQ(stats.sum().delegated_groups, 0u);
 }
 
 TEST(DelegateBatch, SmallBatchesAreNeverDelegated) {
@@ -333,8 +333,8 @@ TEST(DelegationFallback, CombinerCompletesWhenDelegateParksForever) {
     EXPECT_EQ(op->status(), core::OpStatus::Done);
   }
   for (const auto k : used) EXPECT_TRUE(table.contains(k));
-  EXPECT_EQ(stats.delegate_fallbacks.total(), 2u);
-  EXPECT_EQ(stats.delegate_applies.total(), 0u);
+  EXPECT_EQ(stats.sum().delegate_fallbacks, 2u);
+  EXPECT_EQ(stats.sum().delegate_applies, 0u);
   mem::EbrDomain::instance().drain();
 }
 
@@ -375,11 +375,10 @@ TEST(DelegationFallback, DelegateAndSweepRaceAppliesExactlyOnce) {
     // Exactly one claim winner applied the group this iteration (stats are
     // reset at the bottom of every loop), and exactly one completion was
     // recorded per op.
-    ASSERT_EQ(stats.delegate_applies.total() +
-                  stats.delegate_fallbacks.total(),
+    ASSERT_EQ(stats.sum().delegate_applies + stats.sum().delegate_fallbacks,
               1u)
         << "iteration " << iter;
-    ASSERT_EQ(stats.total(), 2u) << "iteration " << iter;
+    ASSERT_EQ(stats.sum().total(), 2u) << "iteration " << iter;
     stats.reset();
     mem::EbrDomain::instance().drain();
   }
@@ -415,8 +414,8 @@ TEST(DelegationFallback, SweepParksOnDoneWordUntilDelegateFinishes) {
                           util::WaitPolicy::SpinPark);
   delegate.join();
   for (Op* op : fx.batch) EXPECT_EQ(op->status(), core::OpStatus::Done);
-  EXPECT_EQ(stats.delegate_applies.total(), 1u);
-  EXPECT_EQ(stats.delegate_fallbacks.total(), 0u);
+  EXPECT_EQ(stats.sum().delegate_applies, 1u);
+  EXPECT_EQ(stats.sum().delegate_fallbacks, 0u);
   mem::EbrDomain::instance().drain();
 }
 
@@ -461,7 +460,7 @@ TEST(DelegationStress, ExactlyOnceOnFlatEngine) {
   EXPECT_EQ(table.size_slow(), kThreads * kOps);
   EXPECT_TRUE(table.check_invariants());
   // Exactly one completion per executed op.
-  EXPECT_EQ(engine.stats().total(), kThreads * kOps);
+  EXPECT_EQ(engine.stats().sum().total(), kThreads * kOps);
   mem::EbrDomain::instance().drain();
 }
 

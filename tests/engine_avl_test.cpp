@@ -86,7 +86,7 @@ TYPED_TEST(EngineAvlTest, OperationAccountingReconcilesUnderZipf) {
         << TypeParam::name() << " key " << k;
   }
   EXPECT_TRUE(tree.check_invariants()) << TypeParam::name();
-  EXPECT_EQ(engine->stats().total(),
+  EXPECT_EQ(engine->stats().sum().total(),
             static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
   mem::EbrDomain::instance().drain();
 }

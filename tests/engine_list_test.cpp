@@ -81,7 +81,7 @@ TYPED_TEST(EngineListTest, OperationAccountingReconciles) {
         << TypeParam::name() << " key " << k;
   }
   EXPECT_TRUE(list.check_invariants()) << TypeParam::name();
-  EXPECT_EQ(engine->stats().total(),
+  EXPECT_EQ(engine->stats().sum().total(),
             static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
   mem::EbrDomain::instance().drain();
 }

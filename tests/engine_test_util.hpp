@@ -42,14 +42,6 @@ struct EngineMaker<core::ScmEngine<DS, L>> {
   }
 };
 
-template <typename DS, typename L>
-struct EngineMaker<core::CoreLockEngine<DS, L>> {
-  template <typename Cfg>
-  static auto make(DS& ds, const Cfg&) {
-    return std::make_unique<core::CoreLockEngine<DS, L>>(ds);
-  }
-};
-
 template <typename DS, typename L, typename SL>
 struct EngineMaker<core::FcEngine<DS, L, SL>> {
   template <typename Cfg>
@@ -95,7 +87,6 @@ struct Engines {
   using Lock = core::LockEngine<DS>;
   using Tle = core::TleEngine<DS>;
   using Scm = core::ScmEngine<DS>;
-  using CoreLock = core::CoreLockEngine<DS>;
   using Fc = core::FcEngine<DS>;
   using TleFc = core::TleFcEngine<DS>;
   using Hcf = core::HcfEngine<DS>;

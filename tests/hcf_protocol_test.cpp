@@ -62,7 +62,7 @@ TEST(HcfProtocol, ExactlyOnceUnderHeavyContention) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(ds.value.get(), static_cast<std::uint64_t>(kThreads) * kOps);
-  EXPECT_EQ(engine.stats().total(), total_claimed.load());
+  EXPECT_EQ(engine.stats().sum().total(), total_claimed.load());
   mem::EbrDomain::instance().drain();
 }
 

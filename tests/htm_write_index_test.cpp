@@ -289,7 +289,9 @@ TEST(HtmEpochMode, SampledOpacityStress) {
       }
     });
   }
-  // Strong-store pulses: the rare-event path reads poll the strong clock for.
+  // Strong-store pulses: a strong store no longer moves the strong clock;
+  // readers catch a pulse through pulse_word's orec, which the store locks
+  // and re-versions.
   threads.emplace_back([] {
     for (int p = 0; p < 200; ++p) {
       strong_store(&pulse_word, static_cast<std::uint64_t>(p));

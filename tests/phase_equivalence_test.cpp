@@ -69,7 +69,7 @@ TEST(PhaseEquivalence, TleLikeUnifiedMatchesDedicatedTle) {
   EXPECT_EQ(contents(s_unified), contents(s_dedicated));
   // A TLE-like class never announces, so the unified core must not have
   // opened a combining session on its behalf.
-  EXPECT_EQ(unified.stats().combiner_sessions.total(), 0u);
+  EXPECT_EQ(unified.stats().sum().combiner_sessions, 0u);
   mem::EbrDomain::instance().drain();
 }
 

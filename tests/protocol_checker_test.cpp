@@ -36,12 +36,12 @@ TEST(ProtocolChecker, StrongStoreInsideTxIsCounted) {
   SKIP_WITHOUT_CHECKER();
   ScopedMode guard(Mode::Count);
   htm::TxCell<std::uint64_t> cell{0};
-  const auto before = htm::stats().proto_strong_in_tx.total();
+  const auto before = htm::stats().sum().proto_strong_in_tx;
   const bool committed = htm::attempt([&] {
     cell.store(42);  // lint:allow(tx-strong-op) — provoked on purpose
   });
   EXPECT_TRUE(committed);
-  EXPECT_EQ(htm::stats().proto_strong_in_tx.total(), before + 1);
+  EXPECT_EQ(htm::stats().sum().proto_strong_in_tx, before + 1);
   EXPECT_EQ(cell.load(), 42u);
 }
 
@@ -49,35 +49,35 @@ TEST(ProtocolChecker, StrongCasAndFetchAddInsideTxAreCounted) {
   SKIP_WITHOUT_CHECKER();
   ScopedMode guard(Mode::Count);
   htm::TxCell<std::uint64_t> cell{1};
-  const auto before = htm::stats().proto_strong_in_tx.total();
+  const auto before = htm::stats().sum().proto_strong_in_tx;
   htm::attempt([&] {
     (void)cell.cas(1, 2);        // lint:allow(tx-strong-op)
     (void)cell.fetch_add(3);     // lint:allow(tx-strong-op)
   });
-  EXPECT_EQ(htm::stats().proto_strong_in_tx.total(), before + 2);
+  EXPECT_EQ(htm::stats().sum().proto_strong_in_tx, before + 2);
 }
 
 TEST(ProtocolChecker, StrongStoreOutsideTxIsClean) {
   SKIP_WITHOUT_CHECKER();
   ScopedMode guard(Mode::Count);
   htm::TxCell<std::uint64_t> cell{0};
-  const auto before = htm::stats().proto_strong_in_tx.total();
+  const auto before = htm::stats().sum().proto_strong_in_tx;
   cell.store(7);
-  EXPECT_EQ(htm::stats().proto_strong_in_tx.total(), before);
+  EXPECT_EQ(htm::stats().sum().proto_strong_in_tx, before);
 }
 
 TEST(ProtocolChecker, MisalignedAccessIsCounted) {
   SKIP_WITHOUT_CHECKER();
   ScopedMode guard(Mode::Count);
   alignas(8) char buf[16] = {};
-  const auto before = htm::stats().proto_misaligned.total();
+  const auto before = htm::stats().sum().proto_misaligned;
   // Checked directly (the hook htm::read/write call) rather than through a
   // real access: performing a misaligned atomic access is UB and would be
   // flagged by UBSan.
   htm::protocol::check_access_alignment(buf + 1, 4);
-  EXPECT_EQ(htm::stats().proto_misaligned.total(), before + 1);
+  EXPECT_EQ(htm::stats().sum().proto_misaligned, before + 1);
   htm::protocol::check_access_alignment(buf + 8, 4);  // aligned: clean
-  EXPECT_EQ(htm::stats().proto_misaligned.total(), before + 1);
+  EXPECT_EQ(htm::stats().sum().proto_misaligned, before + 1);
 }
 
 TEST(ProtocolChecker, UnsubscribedCommitWhileLockHeldIsCounted) {
@@ -96,10 +96,10 @@ TEST(ProtocolChecker, UnsubscribedCommitWhileLockHeldIsCounted) {
 
   htm::TxField<std::uint64_t> field;
   field.init(0);
-  const auto before = htm::stats().proto_unsubscribed_commits.total();
+  const auto before = htm::stats().sum().proto_unsubscribed_commits;
   const bool committed = htm::attempt([&] { field = 5; });
   EXPECT_TRUE(committed);
-  EXPECT_EQ(htm::stats().proto_unsubscribed_commits.total(), before + 1);
+  EXPECT_EQ(htm::stats().sum().proto_unsubscribed_commits, before + 1);
 
   release.store(true);
   holder.join();
@@ -111,13 +111,13 @@ TEST(ProtocolChecker, SubscribedCommitIsClean) {
   sync::TxLock lock;  // free: subscription succeeds and commit is clean
   htm::TxField<std::uint64_t> field;
   field.init(0);
-  const auto before = htm::stats().proto_unsubscribed_commits.total();
+  const auto before = htm::stats().sum().proto_unsubscribed_commits;
   const bool committed = htm::attempt([&] {
     lock.subscribe();
     field = 6;
   });
   EXPECT_TRUE(committed);
-  EXPECT_EQ(htm::stats().proto_unsubscribed_commits.total(), before);
+  EXPECT_EQ(htm::stats().sum().proto_unsubscribed_commits, before);
 }
 
 TEST(ProtocolChecker, CommitWithoutAnyLockHeldIsClean) {
@@ -125,9 +125,9 @@ TEST(ProtocolChecker, CommitWithoutAnyLockHeldIsClean) {
   ScopedMode guard(Mode::Count);
   htm::TxField<std::uint64_t> field;
   field.init(0);
-  const auto before = htm::stats().proto_unsubscribed_commits.total();
+  const auto before = htm::stats().sum().proto_unsubscribed_commits;
   htm::attempt([&] { field = 8; });
-  EXPECT_EQ(htm::stats().proto_unsubscribed_commits.total(), before);
+  EXPECT_EQ(htm::stats().sum().proto_unsubscribed_commits, before);
 }
 
 using ProtocolCheckerDeathTest = ::testing::Test;
@@ -248,10 +248,10 @@ TEST(OccupancyStress, StaleBitsNeverDoubleApply) {
 TEST(ProtocolChecker, ViolationTotalsAggregate) {
   SKIP_WITHOUT_CHECKER();
   ScopedMode guard(Mode::Count);
-  const auto before = htm::stats().total_protocol_violations();
+  const auto before = htm::stats().sum().total_protocol_violations();
   alignas(8) char buf[16] = {};
   htm::protocol::check_access_alignment(buf + 2, 4);
-  EXPECT_EQ(htm::stats().total_protocol_violations(), before + 1);
+  EXPECT_EQ(htm::stats().sum().total_protocol_violations(), before + 1);
 }
 
 }  // namespace

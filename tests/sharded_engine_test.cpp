@@ -145,7 +145,7 @@ TEST(ShardedStats, AggregateCountsEveryShardsCompletions) {
   std::uint64_t per_shard_sum = 0;
   std::uint64_t per_shard_locks = 0;
   for (std::size_t s = 0; s < 4; ++s) {
-    per_shard_sum += ht.engine->shard(s).stats().total();
+    per_shard_sum += ht.engine->shard(s).stats().sum().total();
     per_shard_locks += ht.engine->shard(s).lock_acquisitions();
   }
   EXPECT_EQ(per_shard_sum, n);
@@ -296,7 +296,7 @@ TEST(ShardedAdaptiveTest, PerShardControllersRunIndependently) {
   // inner engines carry the shard's share of the completions.
   std::uint64_t total = 0;
   for (std::size_t s = 0; s < 2; ++s) {
-    total += ht.engine->shard(s).stats().total();
+    total += ht.engine->shard(s).stats().sum().total();
     (void)ht.engine->shard(s).adaptations();
   }
   EXPECT_EQ(total, 200u);

@@ -1,15 +1,25 @@
 // Tests for the telemetry exporters: aggregate summary counting, the
-// Chrome trace_event emitter's slice balancing, and the pinned
+// Chrome trace_event emitter's slice balancing, the pinned
 // correspondence between telemetry's local name tables and the core/ and
-// sim_htm/ enums they mirror.
+// sim_htm/ enums they mirror, and the reconciliation of a traced engine
+// run with the engine, sim-HTM and reclamation counters.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "adapters/ht_ops.hpp"
+#include "core/hcf_engine.hpp"
 #include "core/types.hpp"
+#include "mem/ebr.hpp"
+#include "mem/pool.hpp"
 #include "sim_htm/abort.hpp"
+#include "sim_htm/stats.hpp"
+#include "util/rng.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_export.hpp"
 
@@ -150,6 +160,111 @@ TEST(TelemetryTrace, ChromeTraceHandlesOrphansAndDanglers) {
             count_occurrences(json, "\"ph\":\"E\""));
   EXPECT_EQ(count_occurrences(json, "{"), count_occurrences(json, "}"));
   telemetry::reset();
+}
+
+TEST(TelemetryTrace, TraceReconcilesWithCounters) {
+  if (!telemetry::kCompiledIn) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  using Table = ds::HashTable<std::uint64_t, std::uint64_t>;
+  constexpr std::uint64_t kKeys = 64;
+  constexpr int kThreads = 8;
+  constexpr int kOpsPerThread = 400;
+  Table table(kKeys);
+  for (std::uint64_t k = 0; k < kKeys; k += 2) table.insert(k, k);
+  core::HcfEngine<Table> engine(table, adapters::ht_delegate_config(),
+                                adapters::kHtNumArrays);
+  adapters::ht_seed_commutes(engine);
+  // Collect often, so owners also drain their inboxes inside the window.
+  const std::size_t collect_threshold = mem::collect_threshold();
+  mem::set_collect_threshold(8);
+
+  telemetry::set_enabled(false);
+  telemetry::reset();
+  const auto eng0 = core::EngineStatsSnapshot::capture(engine.stats());
+  const auto htm0 = htm::StatsSnapshot::capture();
+  const auto mem0 = mem::ReclaimSnapshot::capture();
+  telemetry::set_enabled(true);
+  // A small contended mix: preemption inside the critical section makes
+  // operations overlap, so combining, delegation and cross-thread frees
+  // (a remove of a node another thread inserted) all occur.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      util::Xoshiro256 rng(9100 + static_cast<std::uint64_t>(t));
+      adapters::HtFindOp<std::uint64_t, std::uint64_t> find;
+      adapters::HtInsertOp<std::uint64_t, std::uint64_t> insert;
+      adapters::HtRemoveOp<std::uint64_t, std::uint64_t> remove;
+      insert.set_work(60);
+      insert.set_preempt(true);
+      remove.set_work(60);
+      remove.set_preempt(true);
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const std::uint64_t key = rng.next_bounded(kKeys);
+        switch (rng.next_bounded(3)) {
+          case 0:
+            find.set(key);
+            engine.execute(find);
+            break;
+          case 1:
+            insert.set(key, key);
+            engine.execute(insert);
+            break;
+          default:
+            remove.set(key);
+            engine.execute(remove);
+            break;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  telemetry::set_enabled(false);
+  mem::set_collect_threshold(collect_threshold);
+
+  const auto eng = core::EngineStatsSnapshot::capture(engine.stats())
+                       .delta_since(eng0);
+  const auto tx = htm::StatsSnapshot::capture().delta_since(htm0);
+  const auto mem = mem::ReclaimSnapshot::capture().delta_since(mem0);
+  const telemetry::TraceSummary s = telemetry::collect_summary();
+  // Rings keep a suffix of the history; the counts below are exact only
+  // when no event was dropped.
+  ASSERT_EQ(s.events_dropped, 0u);
+  ASSERT_EQ(eng.total(), std::uint64_t{kThreads} * kOpsPerThread);
+
+  // An owner emits one completed PhaseExit per op, for the phase it was
+  // in when it saw the op done; the counters credit the phase that
+  // applied it. The two agree on Private, which only the owner runs, and
+  // on the total; an op helped by a combiner or a delegate is credited
+  // to the helper's phase by the counters and to the owner's waiting
+  // phase by the trace.
+  const auto private_phase = static_cast<std::size_t>(core::Phase::Private);
+  EXPECT_EQ(s.phase_completions[private_phase],
+            eng.phase_total(core::Phase::Private));
+  std::uint64_t traced_completions = 0;
+  for (int p = 0; p < core::kNumPhases; ++p) {
+    traced_completions += s.phase_completions[p];
+  }
+  EXPECT_EQ(traced_completions, eng.total());
+
+  for (int c = 0; c < htm::kNumAbortCodes; ++c) {
+    EXPECT_EQ(s.aborts_by_code[c], tx.aborts[c]) << "abort code " << c;
+  }
+  EXPECT_EQ(s.ops_selected, eng.ops_selected);
+  EXPECT_EQ(s.delegated_groups, eng.delegated_groups);
+  EXPECT_EQ(s.ops_delegated, eng.delegated_ops);
+  EXPECT_EQ(s.delegate_applies, eng.delegate_applies);
+  EXPECT_EQ(s.delegate_fallbacks, eng.delegate_fallbacks);
+  EXPECT_EQ(s.count(EventType::RemoteRetire), mem.remote_flushes);
+  EXPECT_EQ(s.count(EventType::RemoteDrain), mem.remote_drains);
+  EXPECT_EQ(s.remote_drain_blocks, mem.drained_blocks);
+
+  RecordProperty("ops_selected", static_cast<int>(eng.ops_selected));
+  RecordProperty("delegated_groups", static_cast<int>(eng.delegated_groups));
+  RecordProperty("remote_flushes", static_cast<int>(mem.remote_flushes));
+  RecordProperty("remote_drains", static_cast<int>(mem.remote_drains));
+  telemetry::reset();
+  mem::EbrDomain::instance().drain();
 }
 
 TEST(TelemetryTrace, EmptyTraceIsValid) {

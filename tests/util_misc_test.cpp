@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <sstream>
 #include <thread>
@@ -112,6 +113,96 @@ TEST(Counter, PerThreadAggregation) {
   EXPECT_EQ(c.total(), 12u);
   c.reset();
   EXPECT_EQ(c.total(), 0u);
+}
+
+// A counter set with a scalar and an array field, for the CounterBlock
+// tests below.
+struct TestCounters : CounterSet<TestCounters> {
+  std::uint64_t events = 0;
+  std::array<std::uint64_t, 3> by_kind{};
+};
+
+// Runs body(i) on one more thread than the registry's high-water mark, all
+// alive at once. They then hold that many distinct ids, so at least one is
+// new and one of them holds the largest id ever handed out: a scan that
+// stops one id short misses its copy.
+template <typename Body>
+void on_threads_past_high_water(Body body) {
+  const std::size_t n = ThreadRegistry::instance().high_water() + 1;
+  SpinBarrier all_registered(n);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < n; ++i) {
+    threads.emplace_back([&, i] {
+      (void)this_thread_id();
+      all_registered.arrive_and_wait();
+      body(i);
+    });
+  }
+  for (auto& t : threads) t.join();
+}
+
+TEST(CounterBlock, AddsFromManyThreadsSumExactly) {
+  CounterBlock<TestCounters> block;
+  std::atomic<std::uint64_t> threads{0};
+  on_threads_past_high_water([&](std::size_t i) {
+    for (std::uint64_t k = 0; k < 1000; ++k) bump(block.local().events);
+    bump(block.local().by_kind[i % 3], i + 1);
+    threads.fetch_add(1);
+  });
+  const std::size_t n = threads.load();
+  const TestCounters sum = block.sum();
+  EXPECT_EQ(sum.events, 1000 * n);
+  std::array<std::uint64_t, 3> by_kind{};
+  for (std::size_t i = 0; i < n; ++i) by_kind[i % 3] += i + 1;
+  EXPECT_EQ(sum.by_kind, by_kind);
+}
+
+TEST(CounterBlock, ResetZeroesEveryIdBelowHighWater) {
+  CounterBlock<TestCounters> block;
+  on_threads_past_high_water([&](std::size_t) {
+    bump(block.local().events, 7);
+    bump(block.local().by_kind[2]);
+  });
+  ASSERT_GT(block.sum().events, 0u);
+  block.reset();
+  const TestCounters sum = block.sum();
+  EXPECT_EQ(sum.events, 0u);
+  EXPECT_EQ(sum.by_kind, (std::array<std::uint64_t, 3>{}));
+  const std::size_t hw = ThreadRegistry::instance().high_water();
+  for (std::size_t tid = 0; tid < hw; ++tid) {
+    EXPECT_EQ(block.local(tid).events, 0u) << "id " << tid;
+  }
+}
+
+TEST(CounterBlock, DeltaAndAccumulateAreElementWise) {
+  TestCounters a;
+  a.events = 10;
+  a.by_kind = {5, 6, 7};
+  TestCounters b;
+  b.events = 4;
+  b.by_kind = {1, 6, 2};
+  const TestCounters d = a.delta_since(b);
+  EXPECT_EQ(d.events, 6u);
+  EXPECT_EQ(d.by_kind, (std::array<std::uint64_t, 3>{4, 0, 5}));
+  TestCounters sum = b;
+  sum.accumulate(d);
+  EXPECT_EQ(sum.events, a.events);
+  EXPECT_EQ(sum.by_kind, a.by_kind);
+}
+
+TEST(CounterBlock, ThreadRegisteredAfterCaptureCountsInNext) {
+  CounterBlock<TestCounters> block;
+  bump(block.local().events);
+  const TestCounters first = block.sum();
+  EXPECT_EQ(first.events, 1u);
+  std::atomic<std::uint64_t> threads{0};
+  on_threads_past_high_water([&](std::size_t) {
+    bump(block.local().by_kind[0], 3);
+    threads.fetch_add(1);
+  });
+  const TestCounters d = block.sum().delta_since(first);
+  EXPECT_EQ(d.events, 0u);
+  EXPECT_EQ(d.by_kind[0], 3 * threads.load());
 }
 
 TEST(Barrier, ReleasesAllParties) {
