@@ -124,15 +124,16 @@ struct CombineCore {
   // when MarkBeingHelped they also transition to BeingHelped, stopping
   // their owners' speculation (the single-holder variant skips the
   // transition — holding the selection lock for the whole combining phase
-  // is what dooms the owners there). The caller's own op transitions
-  // without moving the strong clock: nobody speculates on it. The gather
-  // target is the caller's preallocated per-thread arena, so nothing
-  // allocates while the selection lock is held.
+  // is what dooms the owners there). The caller's own op and own slot
+  // change with plain stores: nobody speculates on them, so a degree-1
+  // session's only strong store is the selection-lock acquisition. The
+  // gather target is the caller's preallocated per-thread arena, so
+  // nothing allocates while the selection lock is held.
   template <bool MarkBeingHelped>
   static void select_batch(Op& op, PubArray& pa, std::vector<Op*>& out,
                            EngineStats& stats) REQUIRES(pa.selection_lock()) {
     if constexpr (MarkBeingHelped) op.mark_own_being_helped();
-    pa.clear_slot(util::this_thread_id());
+    pa.clear_own_slot();
     out.push_back(&op);
     const std::size_t words_skipped =
         // scan-locked: the caller holds pa.selection_lock() (acquired via

@@ -132,6 +132,8 @@ class Operation {
   // Owner announces before publishing; sequenced before any transaction
   // that subscribes to the status, so a plain store suffices.
   void mark_announced() noexcept {
+    // plain: only the owner's own visible attempt reads the status inside
+    // a transaction, and it has not started.
     status_.store_plain(static_cast<std::uint32_t>(OpStatus::Announced));
   }
 
@@ -146,12 +148,22 @@ class Operation {
   // store would bump the orec again, aborting unrelated readers that
   // subscribed to the word since.
   void mark_being_helped() noexcept {
-    if (set_being_helped()) htm::detail::bump_strong_clock();
+    if ((status_.load() & kStatusMask) ==
+        static_cast<std::uint32_t>(OpStatus::BeingHelped)) {
+      return;
+    }
+    status_.store(static_cast<std::uint32_t>(OpStatus::BeingHelped));
+    htm::detail::bump_strong_clock();
   }
 
-  // The combiner's own op: the same transition, without the strong-clock
-  // move — its owner is the combiner, which is not speculating on it.
-  void mark_own_being_helped() noexcept { (void)set_being_helped(); }
+  // The combiner's own op: the same transition as a plain store, with no
+  // doom and no strong-clock move.
+  void mark_own_being_helped() noexcept {
+    // plain: the only transactional reader of the status is the owner's
+    // own visible attempt, and the owner is the combiner, which is not
+    // speculating on it.
+    status_.store_plain(static_cast<std::uint32_t>(OpStatus::BeingHelped));
+  }
 
   // Completion by a combiner or delegate: record where the op completed,
   // then release the owner. Plain release exchange — by this point the
@@ -161,6 +173,8 @@ class Operation {
   // the wake syscall fire.
   void mark_done(Phase phase) noexcept {
     completed_phase_ = phase;
+    // plain: the owner's visible attempt was doomed and stopped at
+    // mark_being_helped, or the owner is the caller.
     const std::uint32_t old =
         status_.exchange_plain(static_cast<std::uint32_t>(OpStatus::Done));
     if ((old & kParkedBit) != 0) util::wake_all(status_.wait_address());
@@ -174,6 +188,7 @@ class Operation {
   void mark_own_done(Phase phase) noexcept {
     assert((status_.load() & kParkedBit) == 0);
     completed_phase_ = phase;
+    // plain: the owner is the caller, and its own attempt is over.
     status_.store_plain(static_cast<std::uint32_t>(OpStatus::Done));
   }
 
@@ -217,6 +232,8 @@ class Operation {
   void mark_delegated(DelegateGroup<DS>* group) noexcept {
     assert(status() == OpStatus::BeingHelped);
     delegate_group_.store(group, std::memory_order_release);
+    // plain: the op is BeingHelped, so its owner's speculation was already
+    // doomed and stopped at selection.
     const std::uint32_t old = status_.exchange_plain(
         static_cast<std::uint32_t>(OpStatus::Delegated));
     if ((old & kParkedBit) != 0) util::wake_all(status_.wait_address());
@@ -288,16 +305,6 @@ class Operation {
   // it. status()/status_tx() mask it out.
   static constexpr std::uint32_t kParkedBit = 0x8000'0000u;
   static constexpr std::uint32_t kStatusMask = ~kParkedBit;
-
-  // Strong BeingHelped transition; false (no store) if already there.
-  bool set_being_helped() noexcept {
-    if ((status_.load() & kStatusMask) ==
-        static_cast<std::uint32_t>(OpStatus::BeingHelped)) {
-      return false;
-    }
-    status_.store(static_cast<std::uint32_t>(OpStatus::BeingHelped));
-    return true;
-  }
 
   int class_id_;
   mutable htm::TxCell<std::uint32_t> status_{

@@ -213,6 +213,16 @@ class PhaseMachine {
   using PubArray = PublicationArray<DS, SelectionLock>;
   using Core = CombineCore<DS, Lock, SelectionLock>;
   static constexpr CombinerMode kMode = EP::kMode;
+  // What a selection-lock acquisition does to running transactions. A
+  // Multi holder only selects: every foreign op it takes moves the strong
+  // clock itself (mark_being_helped), and its other writes are strong or
+  // owner-private, so the acquisition need only drain write-backs. A
+  // SingleHolder holder combines while owners' visible attempts still
+  // run, and those attempts store results with plain stores: its
+  // acquisition must stop them (DESIGN.md §8.3).
+  static constexpr sync::LockRole kSelectionRole =
+      EP::kMarkBeingHelped ? sync::LockRole::kDrainOnly
+                           : sync::LockRole::kStopsSubscribers;
 
   // `classes[i]` configures operations with class_id == i. `num_arrays`
   // publication arrays are created; every ClassConfig::array must be < it.
@@ -231,7 +241,7 @@ class PhaseMachine {
     }
     arrays_.reserve(num_arrays);
     for (std::size_t i = 0; i < num_arrays; ++i) {
-      arrays_.push_back(std::make_unique<PubArray>());
+      arrays_.push_back(std::make_unique<PubArray>(kSelectionRole));
     }
   }
 
@@ -385,7 +395,8 @@ class PhaseMachine {
     if (policy.announce) {
       telemetry::phase_enter(static_cast<int>(Phase::Visible));
       const bool done_visible = try_visible(op, pa, policy);
-      telemetry::phase_exit(static_cast<int>(Phase::Visible), done_visible);
+      telemetry::phase_exit(static_cast<int>(Phase::Visible), done_visible,
+                            applied_in(op, done_visible));
       if (done_visible) return op.completed_phase();
     }
 
@@ -403,7 +414,7 @@ class PhaseMachine {
       done_combining = try_combining(op, pa, policy, ops_to_help, session,
                                      session_ops, holding_selection);
       telemetry::phase_exit(static_cast<int>(Phase::Combining),
-                            done_combining);
+                            done_combining, applied_in(op, done_combining));
     } else {
       // Never-announced class with no combining budget: carry only our
       // own op straight to the under-lock fallback.
@@ -414,7 +425,9 @@ class PhaseMachine {
       telemetry::phase_enter(static_cast<int>(Phase::UnderLock));
       Core::combine_under_lock(lock_, ds_, op, pa, ops_to_help, stats_,
                                policy.wait);
-      telemetry::phase_exit(static_cast<int>(Phase::UnderLock), true);
+      // Our op may have completed in an earlier combining round.
+      telemetry::phase_exit(static_cast<int>(Phase::UnderLock), true,
+                            applied_in(op, true));
     }
     // Delegated groups are part of this session: sweep unclaimed ones
     // (serial fallback) and wait out claimed ones before the session's
@@ -545,7 +558,8 @@ class PhaseMachine {
     std::uint32_t epoch = pa.combined_epoch();
     for (;;) {
       if (op.status() == OpStatus::Done) {
-        telemetry::phase_exit(static_cast<int>(Phase::Visible), true);
+        telemetry::phase_exit(static_cast<int>(Phase::Visible), true,
+                              applied_in(op, true));
         return op.completed_phase();
       }
       const std::uint32_t now = pa.combined_epoch();
@@ -618,6 +632,12 @@ class PhaseMachine {
       (void)pa;
       op.wait_done(wait);
     }
+  }
+
+  // Telemetry for a phase exit: the phase that applied the caller's op,
+  // read only once the op is done (a helper writes it until then).
+  static int applied_in(const Op& op, bool done) noexcept {
+    return done ? static_cast<int>(op.completed_phase()) : -1;
   }
 
   // Owner-side completions only (private, visible, own op under the

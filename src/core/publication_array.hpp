@@ -3,9 +3,11 @@
 // which serializes combiners' selection scans.
 //
 // Concurrency protocol (all verified against DESIGN.md's race analysis):
-//   * add    — owner publishes its descriptor in its own slot (strong store),
-//     then sets the slot's occupancy bit (release, so a scanner that sees
-//     the bit sees the slot).
+//   * add    — owner publishes its descriptor in its own slot (plain
+//     release store: the only transaction that reads a thread's slot is
+//     that owner's own visible attempt, not running yet), then sets the
+//     slot's occupancy bit (release, so a scanner that sees the bit sees
+//     the slot).
 //   * remove_tx — owner clears its slot *inside* the transaction that
 //     applied the op, so the removal commits atomically with the effect.
 //     The occupancy bit is intentionally left STALE (a transactional
@@ -13,7 +15,9 @@
 //     every hinted slot, so a stale bit costs one extra load, never a
 //     wrong selection. See DESIGN.md §9.1 for the staleness argument.
 //   * clear_slot — a combiner, holding the selection lock, removes a slot
-//     it has selected (and clears its occupancy bit).
+//     it has selected (and clears its occupancy bit). A foreign slot is
+//     cleared strongly, dooming its owner's visible attempt;
+//     clear_own_slot clears the combiner's own slot with a plain store.
 //   * for_each_announced — combiner scan; requires the selection lock.
 //     Scans need no consistent snapshot: slots can be added concurrently
 //     but never removed while the selection lock is held. The scan walks
@@ -51,7 +55,12 @@ class PublicationArray {
   static constexpr std::size_t kOccupancyWords =
       (util::kMaxThreads + 63) / 64;
 
-  PublicationArray() = default;
+  // `selection_role` is what the selection lock's acquisition does to
+  // running transactions (sync::LockRole): the phase machine builds a
+  // Multi engine's arrays drain-only.
+  explicit PublicationArray(
+      sync::LockRole selection_role = sync::LockRole::kStopsSubscribers)
+      : selection_lock_(selection_role) {}
   PublicationArray(const PublicationArray&) = delete;
   PublicationArray& operator=(const PublicationArray&) = delete;
 
@@ -62,7 +71,9 @@ class PublicationArray {
   // own phases never depend on being scanned.
   void add(Op* op) noexcept {
     const std::size_t slot = util::this_thread_id();
-    slots_[slot].value.store(op);
+    // plain: only the owner's own visible attempt reads this slot
+    // transactionally, and the owner is not in a transaction here.
+    slots_[slot].value.store_plain(op);
     occupancy_[slot >> 6].value.fetch_or(slot_bit(slot),
                                          std::memory_order_release);
   }
@@ -85,8 +96,18 @@ class PublicationArray {
   }
 
   // Combiner-side removal of any slot; caller must hold the selection lock.
+  // Strong: the slot's owner may be in a visible attempt that read it.
   void clear_slot(std::size_t slot) noexcept REQUIRES(selection_lock_) {
     slots_[slot].value.store(nullptr);
+    clear_bit(slot);
+  }
+
+  // The combiner's removal of its own slot, under the selection lock.
+  void clear_own_slot() noexcept REQUIRES(selection_lock_) {
+    const std::size_t slot = util::this_thread_id();
+    // plain: the only transactional reader of our slot is our own visible
+    // attempt, and we are combining, not speculating on it.
+    slots_[slot].value.store_plain(nullptr);
     clear_bit(slot);
   }
 

@@ -390,12 +390,6 @@ void bump_strong_clock() noexcept {
 }  // namespace detail
 
 void wait_writeback_drain() noexcept {
-  // Stop running subscribers before the holder writes uninstrumented data:
-  // those writes leave no orec evidence, so readers poll the strong clock
-  // after every value load instead. The bump is sequenced before every
-  // store the holder makes, so a reader that ingests one of them sees the
-  // clock moved, revalidates, and aborts on the lock word's new version.
-  detail::bump_strong_clock();
   // seq_cst: Dekker/store-buffering pair with the fence in commit_txn().
   // Our caller already stored the doom (bumped lock-word orec) before
   // calling; this fence orders that store before the mark and flag loads

@@ -32,10 +32,11 @@
 //     orec protocol via TxCell (txcell.hpp), so they doom overlapping
 //     transactions exactly like a cache-line invalidation would on real HTM.
 //   * lock acquirers call wait_writeback_drain() after dooming subscribers.
-//     It moves the strong clock, so every running subscriber stops at its
-//     next read, and closes the race with transactions already past
-//     validation: each committer raises a per-thread in-write-back flag and
-//     the drain scans the flags (see DESIGN.md, "quiescence gate").
+//     It closes the race with transactions already past validation: each
+//     committer raises a per-thread in-write-back flag and the drain scans
+//     the flags (see DESIGN.md, "quiescence gate"). A lock whose holder
+//     writes uninstrumented data also moves the strong clock first, so
+//     every running subscriber stops at its next read (sync/tx_lock.hpp).
 //   * the hot globals (orec table, both clocks, config, the thread's Txn)
 //     are header-inline constinit variables, so read/write/attempt reach
 //     them with a direct load instead of an out-of-line accessor call.
@@ -127,9 +128,14 @@ inline std::uint64_t orec_version(std::uint64_t word) noexcept {
 // strong_clock: polled by every transactional read after its value load;
 // a move makes the reader revalidate its whole read set at once. Only
 // bump_strong_clock() moves it, and only two events call that:
-//   (a) wait_writeback_drain(), i.e. every elidable-lock acquisition: the
-//       holder's uninstrumented writes leave no orec evidence, so the clock
-//       stands in for them (lazy subscription, Dice et al.);
+//   (a) the acquisition of an elidable lock whose holder writes
+//       uninstrumented data — every data-structure lock, and the
+//       selection lock of a SingleHolder engine, whose holder combines
+//       while owners' visible attempts still run: those writes leave no
+//       orec evidence, so the clock stands in for them (lazy
+//       subscription, Dice et al.). A Multi engine's selection lock is
+//       built drain-only and does not move it: its holder's other writes
+//       are strong or owner-private (sync/tx_lock.hpp, LockRole);
 //   (b) Operation::mark_being_helped on an operation a combiner selected:
 //       the owner's speculative body stores its result with plain stores,
 //       so it must stop at its next read rather than run to commit.
@@ -640,14 +646,14 @@ inline T strong_exchange(T* addr, T value) noexcept {
   return cur;
 }
 
-// Moves the strong clock, then blocks until no transaction is inside
-// commit write-back. Called by elidable-lock acquirers after the lock word
-// is set: every transaction validating after that point sees the bumped
-// lock orec and aborts, the strong-clock move makes every running
-// subscriber revalidate (and so abort) at its next read, before it can
-// ingest an uninstrumented store of the holder, and this wait flushes the
-// ones that had already validated. Scans one in-write-back flag per thread
-// id below util::ThreadRegistry::high_water().
+// Blocks until no transaction is inside commit write-back. Called by
+// elidable-lock acquirers after the lock word is set: every transaction
+// validating after that point sees the bumped lock orec and aborts, and
+// this wait flushes the ones that had already validated. It does not stop
+// running subscribers; an acquirer whose holder writes uninstrumented data
+// moves the strong clock (detail::bump_strong_clock) before calling it.
+// Scans one in-write-back flag per thread id below
+// util::ThreadRegistry::high_water().
 void wait_writeback_drain() noexcept;
 
 // Called by elidable-lock subscribe() implementations (sync/tx_lock.hpp):

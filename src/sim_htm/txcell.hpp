@@ -1,8 +1,11 @@
 // TxCell<T>: a shared word accessed both transactionally (subscription
 // reads, transactional removal of publication slots) and non-transactionally
-// (lock acquisition, status transitions). All mutations funnel through the
-// strong orec protocol so they doom overlapping transactions — the
-// simulator's equivalent of a cache-line invalidation under real HTM.
+// (lock acquisition, status transitions). Mutations that must doom
+// overlapping transactions go through the strong orec protocol — the
+// simulator's equivalent of a cache-line invalidation under real HTM. The
+// *_plain mutators skip it and are for words no running transaction can
+// hold in its read set (each call site says why, lint rule
+// plain-store-justification).
 //
 // TxField<T>: a data-structure field with transparent instrumentation.
 // Reads/writes go through htm::read / htm::write, which fall through to
@@ -46,16 +49,28 @@ class TxCell {
   T exchange(T v) noexcept { return strong_exchange(&value_, v); }
 
   // Plain release store, *without* dooming subscribed transactions. Only
-  // valid for transitions no live transaction's correctness depends on
-  // (e.g. Announce before the owner's first transaction, Done after the
-  // helped operation's owner can no longer be speculating on it).
+  // valid where no running transaction can hold the word in its read set
+  // with a value this store invalidates: owner-private transitions (the
+  // owner's own attempt is not running), and releases whose acquisition
+  // already drew the word a new orec version (DESIGN.md §12.1).
   void store_plain(T v) noexcept { detail::atomic_store_release(&value_, v); }
 
   // Plain (non-dooming) exchange, same validity rules as store_plain; used
   // where the transition must also report the displaced value — e.g.
-  // mark_done observing whether a parked-waiter flag was set.
+  // mark_done observing whether a parked-waiter flag was set, or a lock
+  // release observing the waiters bit.
   T exchange_plain(T v) noexcept {
     return std::atomic_ref<T>(value_).exchange(v, std::memory_order_acq_rel);
+  }
+
+  // Plain (non-dooming) compare-and-swap: one hardware CAS, same validity
+  // rules as store_plain. Unlike cas(), which is orec lock + load + store,
+  // it is atomic with respect to concurrent plain mutators of the word, so
+  // a bit set here cannot be lost to a racing exchange_plain.
+  bool cas_plain(T expected, T desired) noexcept {
+    return std::atomic_ref<T>(value_).compare_exchange_strong(
+        expected, desired, std::memory_order_acq_rel,
+        std::memory_order_acquire);
   }
 
   // Transactional (buffered) write — used when a cell must change atomically

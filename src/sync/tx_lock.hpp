@@ -5,26 +5,30 @@
 //   * FairTxLock  — ticket-based; starvation-free, required by the paper's
 //                   progress argument (§2.3) for HCF starvation freedom.
 //
-// Both route state changes through TxCell strong operations (dooming
-// overlapping transactions) and call htm::wait_writeback_drain() after
-// acquisition. The drain moves the strong clock, so every running
-// subscriber stops at its next read before it can ingest an uninstrumented
-// store of the holder, and waits for commit write-back quiescence, so a
-// lock holder never observes — or races with — partial transactional
-// state. Release is a plain strong store: the lock word's new orec version
-// is all a later subscriber needs. See DESIGN.md "quiescence gate".
+// Acquisition is a strong TxCell store or CAS: it draws the lock word a
+// new orec version, which dooms every transaction that read the word as
+// free. It then runs htm::wait_writeback_drain(), so a lock holder never
+// observes — or races with — partial transactional state (DESIGN.md
+// "quiescence gate"). A lock built with LockRole::kStopsSubscribers (the
+// default) also moves the strong clock before the drain, so every running
+// subscriber stops at its next read before it can ingest an
+// uninstrumented store of the holder; a kDrainOnly lock skips that move.
+// Release is a plain exchange: the acquisition's version already dooms
+// every subscriber from before it, and one that reads the freed word later
+// reads it consistently (DESIGN.md §12.1).
 //
 // Wait hierarchy (DESIGN.md §12): the lock word is 4 bytes so it doubles
 // as a futex word. Under WaitPolicy::SpinPark a waiter that exhausts its
-// spin/yield tiers publishes a waiters bit (the word's MSB) and sleeps on
-// the word; unlock issues a wake only when the displaced value carries the
-// bit, so uncontended release stays syscall-free. The transactional
-// subscribe() path is untouched — elided readers abort on a held lock,
-// they never park (a parked transaction would be aborted by the context
-// switch on real HTM anyway).
+// spin/yield tiers publishes a waiters bit (the word's MSB) with a
+// hardware CAS and sleeps on the word; unlock issues a wake only when the
+// displaced value carries the bit, so uncontended release stays
+// syscall-free. The transactional subscribe() path is untouched — elided
+// readers abort on a held lock, they never park (a parked transaction
+// would be aborted by the context switch on real HTM anyway).
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 
 #include "sim_htm/txcell.hpp"
@@ -37,8 +41,26 @@
 
 namespace hcf::sync {
 
+// What an acquisition does to transactions still running when it lands
+// (DESIGN.md §8.3). Both roles doom the lock word's subscribers and drain
+// in-flight write-backs; they differ in whether those subscribers must
+// also stop before their doomed commit.
+enum class LockRole : std::uint8_t {
+  // The holder writes uninstrumented data a running subscriber could read:
+  // move the strong clock so each stops at its next read. Data-structure
+  // locks, and the selection lock of a SingleHolder engine (its holder
+  // combines while owners' visible attempts run).
+  kStopsSubscribers,
+  // Every word the holder writes is stored strongly or is private to the
+  // holder, so orec evidence dooms each reader in time: drain only. The
+  // selection lock of a Multi engine, whose foreign selections move the
+  // clock themselves (Operation::mark_being_helped).
+  kDrainOnly,
+};
+
 template <typename L>
-concept ElidableLock = requires(L l, const L cl, util::WaitPolicy p) {
+concept ElidableLock = std::constructible_from<L, LockRole> &&
+                       requires(L l, const L cl, util::WaitPolicy p) {
   l.lock();
   l.lock(p);
   l.unlock();
@@ -68,9 +90,15 @@ inline void wait_word_free(htm::TxCell<std::uint32_t>& word,
   std::uint32_t v;
   while ((v = word.load()) != 0) {
     if (!waiter.wait()) continue;
-    // Set the waiters bit (strong CAS from a held value only). A failed
-    // CAS means the word moved under us — re-read before deciding again.
-    if ((v & kWaitersBit) == 0 && !word.cas(v, v | kWaitersBit)) continue;
+    // Set the waiters bit with one hardware CAS from a held value. A
+    // strong CAS (orec lock, load, store) would race the holder's plain
+    // release exchange and could store the bit over the freed word. A
+    // failed CAS means the word moved under us — re-read before deciding.
+    // plain: the word stays nonzero either way, and every subscriber of a
+    // held word aborts on it.
+    if ((v & kWaitersBit) == 0 && !word.cas_plain(v, v | kWaitersBit)) {
+      continue;
+    }
     util::park(word.wait_address(), v | kWaitersBit);
     waiter.reset();
   }
@@ -79,16 +107,31 @@ inline void wait_word_free(htm::TxCell<std::uint32_t>& word,
 // Release a parkable word: clear it and wake the cohort iff the displaced
 // value carried the waiters bit.
 inline void release_word(htm::TxCell<std::uint32_t>& word) noexcept {
-  if ((word.exchange(0) & kWaitersBit) != 0) {
+  // plain: a subscriber that read the word free before the acquisition
+  // was doomed by the acquisition's new orec version; one that reads it
+  // after this store reads a consistent free word.
+  if ((word.exchange_plain(0) & kWaitersBit) != 0) {
     util::wake_all(word.wait_address());
   }
+}
+
+// Acquisition tail shared by both lock types, after the doom: stop running
+// subscribers unless the lock is drain-only, then drain write-backs. The
+// clock move precedes every store the holder makes, so a subscriber that
+// ingests one of them sees the clock moved, revalidates, and aborts on
+// the lock word's new version.
+inline void after_acquire(bool drain_only) noexcept {
+  htm::protocol::note_lock_acquired();
+  if (!drain_only) htm::detail::bump_strong_clock();
+  htm::wait_writeback_drain();
 }
 
 }  // namespace detail
 
 class CAPABILITY("elidable_lock") TxLock {
  public:
-  TxLock() = default;
+  explicit TxLock(LockRole role = LockRole::kStopsSubscribers) noexcept
+      : drain_only_(role == LockRole::kDrainOnly) {}
   TxLock(const TxLock&) = delete;
   TxLock& operator=(const TxLock&) = delete;
 
@@ -107,10 +150,10 @@ class CAPABILITY("elidable_lock") TxLock {
     if (word_.load() != 0) return false;
     if (!word_.cas(0, owner_word())) return false;
     acquisitions_.add();
-    htm::protocol::note_lock_acquired();
     // Doomed subscribers are now guaranteed to fail validation; stop the
-    // running ones and flush the transactions that validated before our CAS.
-    htm::wait_writeback_drain();
+    // running ones (unless drain-only) and flush the transactions that
+    // validated before our CAS.
+    detail::after_acquire(drain_only_);
     return true;
   }
 
@@ -156,12 +199,14 @@ class CAPABILITY("elidable_lock") TxLock {
   }
 
   mutable htm::TxCell<std::uint32_t> word_{0};
+  bool drain_only_;
   util::Counter acquisitions_;
 };
 
 class CAPABILITY("elidable_lock") FairTxLock {
  public:
-  FairTxLock() = default;
+  explicit FairTxLock(LockRole role = LockRole::kStopsSubscribers) noexcept
+      : drain_only_(role == LockRole::kDrainOnly) {}
   FairTxLock(const FairTxLock&) = delete;
   FairTxLock& operator=(const FairTxLock&) = delete;
 
@@ -185,8 +230,7 @@ class CAPABILITY("elidable_lock") FairTxLock {
     }
     held_.store(1);
     acquisitions_.add();
-    htm::protocol::note_lock_acquired();
-    htm::wait_writeback_drain();
+    detail::after_acquire(drain_only_);
   }
 
   bool try_lock() noexcept TRY_ACQUIRE(true) {
@@ -198,14 +242,15 @@ class CAPABILITY("elidable_lock") FairTxLock {
     }
     held_.store(1);
     acquisitions_.add();
-    htm::protocol::note_lock_acquired();
-    htm::wait_writeback_drain();
+    detail::after_acquire(drain_only_);
     return true;
   }
 
   void unlock() noexcept RELEASE() {
     htm::protocol::note_lock_released();
-    const std::uint32_t held = held_.exchange(0);
+    // plain: as in detail::release_word — the acquisition's strong store
+    // already doomed every subscriber that read the word free before it.
+    const std::uint32_t held = held_.exchange_plain(0);
     // seq_cst: the serving bump must be ordered before the ticket-waiters
     // read below, pairing with lock()'s registration-then-recheck.
     serving_.fetch_add(1, std::memory_order_seq_cst);
@@ -255,6 +300,7 @@ class CAPABILITY("elidable_lock") FairTxLock {
   // touched together on the park path only.
   std::atomic<std::uint32_t> ticket_waiters_{0};
   mutable htm::TxCell<std::uint32_t> held_{0};
+  bool drain_only_;
   util::Counter acquisitions_;
 };
 

@@ -12,7 +12,9 @@ namespace hcf::telemetry {
 enum class EventType : std::uint8_t {
   None = 0,
   PhaseEnter = 1,      // code = core::Phase the thread is entering
-  PhaseExit = 2,       // code = core::Phase; arg = 1 iff the op completed
+  PhaseExit = 2,       // code = core::Phase exited; arg = 0 if the op is
+                       // not complete, else 1 + the core::Phase that
+                       // applied it (a helper's, for a helped owner)
   HtmCommit = 3,       // code = 1 iff read-only
   HtmAbort = 4,        // code = htm::AbortCode of the failed attempt
   CombineBegin = 5,    // arg = number of ops selected for this session

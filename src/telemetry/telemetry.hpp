@@ -306,9 +306,16 @@ inline std::uint64_t park_latency_samples() noexcept { return 0; }
 inline void phase_enter(int phase) noexcept {
   record(EventType::PhaseEnter, static_cast<std::uint8_t>(phase));
 }
-inline void phase_exit(int phase, bool completed) noexcept {
+// `applied_in` is the phase that applied a completed op, when that is
+// not the phase being exited: an owner whose op a combiner or delegate
+// applied exits the phase it waited in (the B/E slices stay paired) but
+// the op completed in the helper's phase, which is what the counters
+// credit. Negative means the exited phase itself.
+inline void phase_exit(int phase, bool completed,
+                       int applied_in = -1) noexcept {
+  const int applied = applied_in < 0 ? phase : applied_in;
   record(EventType::PhaseExit, static_cast<std::uint8_t>(phase),
-         completed ? 1 : 0);
+         completed ? static_cast<std::uint32_t>(applied) + 1 : 0);
 }
 inline void htm_commit(bool read_only) noexcept {
   record(EventType::HtmCommit, read_only ? 1 : 0);

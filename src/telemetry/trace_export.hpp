@@ -62,6 +62,7 @@ struct TraceSummary {
 
   std::uint64_t by_type[kNumEventTypes] = {};
   std::uint64_t aborts_by_code[16] = {};
+  // Completed PhaseExit events by the phase that applied the op.
   std::uint64_t phase_completions[16] = {};
   std::uint64_t ops_selected = 0;  // summed over combine-begin events
   std::uint64_t ops_delegated = 0;     // summed over delegate events
@@ -107,7 +108,7 @@ inline TraceSummary collect_summary() {
           ++s.aborts_by_code[e.code & 0xf];
           break;
         case EventType::PhaseExit:
-          if (e.arg != 0) ++s.phase_completions[e.code & 0xf];
+          if (e.arg != 0) ++s.phase_completions[(e.arg - 1) & 0xf];
           break;
         case EventType::CombineBegin:
           s.ops_selected += e.arg;
@@ -252,7 +253,11 @@ inline void write_chrome_trace(std::ostream& os) {
           if (phase_depth == 0) break;  // begin fell off the ring
           --phase_depth;
           emit(tid, e, 'E', detail::phase_name(e.code),
-               "\"completed\":" + std::to_string(e.arg));
+               e.arg == 0 ? std::string("\"completed\":0")
+                          : std::string("\"completed\":1,\"applied_in\":\"") +
+                                detail::phase_name(
+                                    static_cast<std::uint8_t>(e.arg - 1)) +
+                                '"');
           break;
         case EventType::CombineBegin:
           ++combine_depth;

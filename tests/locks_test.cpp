@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "sim_htm/htm.hpp"
 #include "sync/spinlock.hpp"
+#include "util/backoff.hpp"
+#include "util/thread_id.hpp"
 
 namespace hcf::sync {
 namespace {
@@ -95,6 +98,95 @@ TYPED_TEST(ElidableLockTest, RunningSubscriberNeverReadsHolderWrite) {
   EXPECT_FALSE(read_returned);
   EXPECT_EQ(htm::last_abort_code(), htm::AbortCode::Conflict);
   EXPECT_EQ(x, 1u);
+}
+
+// Release is a plain exchange that draws the word no new orec version. A
+// transaction that read the lock free before an acquire/write/unlock
+// cycle must still fail at commit: the acquisition's strong store left the
+// word a version newer than the one in its read set, and the release keeps
+// it. A transaction that subscribes after the release commits.
+TYPED_TEST(ElidableLockTest, SubscriberFromBeforeACycleAbortsAfterRelease) {
+  for (const LockRole role :
+       {LockRole::kStopsSubscribers, LockRole::kDrainOnly}) {
+    TypeParam lock(role);
+    static std::uint64_t x;
+    static std::uint64_t y;
+    x = 0;
+    y = 0;
+    auto holder = [&] {
+      lock.lock();
+      htm::write(&x, std::uint64_t{1});  // outside a transaction: plain
+      lock.unlock();
+    };
+    const bool ok = htm::attempt([&] {
+      lock.subscribe();
+      std::thread t(holder);
+      t.join();  // lint:allow(tx-blocking-call) — the holder never waits on us
+      htm::write(&y, std::uint64_t{1});
+    });
+    EXPECT_FALSE(ok) << "role " << static_cast<int>(role);
+    EXPECT_EQ(htm::last_abort_code(), htm::AbortCode::Conflict);
+    EXPECT_EQ(y, 0u);
+    EXPECT_EQ(x, 1u);
+    EXPECT_FALSE(lock.is_locked());
+    EXPECT_TRUE(htm::attempt([&] { lock.subscribe(); }));
+  }
+}
+
+// A drain-only lock (a Multi engine's selection lock) does all an
+// acquisition does except move the strong clock: it still waits out a
+// raised in-write-back flag, and a transaction that subscribed before it
+// still aborts (at commit, not at its next read).
+TYPED_TEST(ElidableLockTest, DrainOnlyAcquisitionDrainsWithoutMovingClock) {
+  const auto& clock = htm::detail::strong_clock();
+  const std::uint64_t before = clock.load();
+  TypeParam lock(LockRole::kDrainOnly);
+  lock.lock();
+  lock.unlock();
+  if (!lock.try_lock()) FAIL() << "try_lock on a free lock must succeed";
+  lock.unlock();
+  EXPECT_EQ(clock.load(), before) << "drain-only acquisitions";
+
+  // A committer between its pre-validation fence and the end of its
+  // write-back holds the acquirer in the drain.
+  std::atomic<int> stage{0};
+  std::atomic<bool> acquired{false};
+  std::thread committer([&] {
+    auto& flag = htm::detail::writeback_flag(util::this_thread_id());
+    flag.store(1);
+    stage.store(1);
+    while (stage.load() != 2) util::cpu_relax();
+    flag.store(0);
+  });
+  while (stage.load() != 1) util::cpu_relax();
+  std::thread acquirer([&] {
+    lock.lock();
+    acquired.store(true);
+    lock.unlock();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(acquired.load()) << "acquisition skipped a raised flag";
+  stage.store(2);
+  committer.join();
+  acquirer.join();
+  EXPECT_TRUE(acquired.load());
+
+  static std::uint64_t y;
+  y = 0;
+  auto cycle = [&] {
+    lock.lock();
+    lock.unlock();
+  };
+  const bool ok = htm::attempt([&] {
+    lock.subscribe();
+    std::thread t(cycle);
+    t.join();  // lint:allow(tx-blocking-call) — the holder never waits on us
+    htm::write(&y, std::uint64_t{1});
+  });
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(htm::last_abort_code(), htm::AbortCode::Conflict);
+  EXPECT_EQ(y, 0u);
+  EXPECT_EQ(clock.load(), before) << "drain-only acquisitions";
 }
 
 TYPED_TEST(ElidableLockTest, WaitUntilFreeReturnsAfterUnlock) {

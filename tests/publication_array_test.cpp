@@ -299,11 +299,13 @@ TEST(OperationDescriptor, SelectedOwnerStopsAtNextRead) {
   EXPECT_EQ(op.status(), OpStatus::BeingHelped);
 }
 
-// The strong clock (polled by every transactional read) moves exactly once
-// per elidable-lock acquisition and once per foreign op a combiner selects.
-// No other strong store moves it: each leaves a fresh orec version that
-// readers detect on their own. Deterministic: this process runs no other
-// threads.
+// The strong clock (polled by every transactional read) moves once per
+// acquisition of a lock whose holder writes uninstrumented data (a
+// data-structure lock, a SingleHolder engine's selection lock), never at a
+// Multi engine's drain-only selection-lock acquisition, and once per
+// foreign op a combiner selects. No other strong store moves it: each
+// leaves a fresh orec version that readers detect on their own.
+// Deterministic: this process runs no other threads.
 TEST(StrongClock, MovesOnlyAtLockAcquisitionAndSelection) {
   const auto& clock = htm::detail::strong_clock();
   std::uint64_t last = clock.load();
@@ -339,9 +341,24 @@ TEST(StrongClock, MovesOnlyAtLockAcquisitionAndSelection) {
   EXPECT_EQ(moves(), 1u) << "FairTxLock::try_lock";
   fair.unlock();
 
-  // One combining selection: the combiner's own op and one foreign op,
-  // announced from another thread's slot.
-  PublicationArray<NullDs> pa;
+  // The selection-lock roles the phase machine derives from its mode.
+  constexpr sync::LockRole kMultiRole =
+      PhaseMachine<NullDs, EnginePolicy<CombinerMode::Multi>>::kSelectionRole;
+  constexpr sync::LockRole kSingleHolderRole =
+      PhaseMachine<NullDs,
+                   EnginePolicy<CombinerMode::SingleHolder>>::kSelectionRole;
+  static_assert(kMultiRole == sync::LockRole::kDrainOnly);
+  static_assert(kSingleHolderRole == sync::LockRole::kStopsSubscribers);
+  {
+    PublicationArray<NullDs> single_holder(kSingleHolderRole);
+    single_holder.selection_lock().lock();
+    EXPECT_EQ(moves(), 1u) << "SingleHolder selection-lock acquisition";
+    single_holder.selection_lock().unlock();
+  }
+
+  // One Multi combining selection: the combiner's own op and one foreign
+  // op, announced from another thread's slot.
+  PublicationArray<NullDs> pa(kMultiRole);
   NoopOp own;
   NoopOp foreign;
   own.prepare();
@@ -355,7 +372,7 @@ TEST(StrongClock, MovesOnlyAtLockAcquisitionAndSelection) {
   std::vector<Operation<NullDs>*> batch;
   batch.reserve(util::kMaxThreads);
   pa.selection_lock().lock();
-  EXPECT_EQ(moves(), 1u) << "selection-lock acquisition";
+  EXPECT_EQ(moves(), 0u) << "Multi selection-lock acquisition";
   CombineCore<NullDs>::select_batch<true>(own, pa, batch, *stats);
   EXPECT_EQ(batch.size(), 2u);
   EXPECT_EQ(moves(), 1u) << "select_batch: the foreign op only, no "
@@ -367,6 +384,32 @@ TEST(StrongClock, MovesOnlyAtLockAcquisitionAndSelection) {
   EXPECT_EQ(moves(), 0u) << "publish_combined";
   own.mark_done(Phase::Combining);
   foreign.mark_done(Phase::Combining);
+}
+
+// A combining session that selects only its own op pays the one strong
+// store that serializes combiners — the selection-lock acquisition CAS —
+// and, in Multi mode, no strong-clock move: the announce, the own slot
+// clear, the own BeingHelped transition, the release and the completion
+// are all plain. A SingleHolder session's acquisition also moves the
+// clock. Deterministic: this process runs no other threads.
+template <CombinerMode Mode>
+void expect_degree_one_session(std::uint64_t clock_moves) {
+  NullDs ds;
+  PhaseMachine<NullDs, EnginePolicy<Mode>> pm(
+      ds, uniform_classes(PhasePolicy::combine_first()));
+  NoopOp op;
+  const std::uint64_t strong = htm::stats().sum().strong_stores;
+  const std::uint64_t clock = htm::detail::strong_clock().load();
+  EXPECT_EQ(pm.execute(op), Phase::Combining);
+  EXPECT_EQ(pm.stats().sum().combiner_sessions, 1u);
+  EXPECT_EQ(pm.stats().sum().ops_selected, 1u);
+  EXPECT_EQ(htm::stats().sum().strong_stores - strong, 1u);
+  EXPECT_EQ(htm::detail::strong_clock().load() - clock, clock_moves);
+}
+
+TEST(StrongClock, DegreeOneSessionPaysOneStrongStore) {
+  expect_degree_one_session<CombinerMode::Multi>(0);
+  expect_degree_one_session<CombinerMode::SingleHolder>(1);
 }
 
 // Owner-side completions (private, visible, own op under the lock) store

@@ -183,7 +183,7 @@ TEST(TelemetryApi, EnabledRecordingIsVisibleInSnapshots) {
   EXPECT_EQ(events[1].type, EventType::CombineBegin);
   EXPECT_EQ(events[1].arg, 5u);
   EXPECT_EQ(events[3].type, EventType::PhaseExit);
-  EXPECT_EQ(events[3].arg, 1u);  // completed
+  EXPECT_EQ(events[3].arg, 3u);  // completed, applied in phase 2
   EXPECT_EQ(events[4].type, EventType::OpLatency);
   telemetry::reset();
 }

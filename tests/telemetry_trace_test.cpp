@@ -107,6 +107,38 @@ TEST(TelemetryTrace, SummaryCountsKnownSequence) {
   telemetry::reset();
 }
 
+// An owner whose op a helper applied exits the phase it waited in, so
+// its B/E slices pair, but the completion counts for the helper's phase.
+TEST(TelemetryTrace, HelpedExitCountsTheApplyingPhase) {
+  if (!telemetry::kCompiledIn) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  telemetry::set_enabled(false);
+  telemetry::reset();
+  telemetry::set_enabled(true);
+  telemetry::phase_enter(1);
+  telemetry::phase_exit(1, true, 3);  // waited in Visible, applied UnderLock
+  telemetry::phase_enter(1);
+  telemetry::phase_exit(1, false, 3);  // not complete: the phase is ignored
+  telemetry::set_enabled(false);
+
+  const telemetry::TraceSummary s = telemetry::collect_summary();
+  EXPECT_EQ(s.phase_completions[1], 0u);
+  EXPECT_EQ(s.phase_completions[3], 1u);
+
+  std::ostringstream os;
+  telemetry::write_chrome_trace(os);
+  const std::string json = os.str();
+  EXPECT_EQ(count_occurrences(json, "\"ph\":\"B\",\"pid\":1"), 2u);
+  EXPECT_EQ(count_occurrences(json, "\"ph\":\"E\",\"pid\":1"), 2u);
+  EXPECT_EQ(count_occurrences(json, "\"name\":\"try-visible\""), 4u);
+  EXPECT_EQ(count_occurrences(
+                json, "\"completed\":1,\"applied_in\":\"combine-under-lock\""),
+            1u);
+  EXPECT_EQ(count_occurrences(json, "\"completed\":0"), 1u);
+  telemetry::reset();
+}
+
 TEST(TelemetryTrace, ChromeTraceIsBalanced) {
   if (!telemetry::kCompiledIn) {
     GTEST_SKIP() << "telemetry compiled out";
@@ -232,20 +264,14 @@ TEST(TelemetryTrace, TraceReconcilesWithCounters) {
   ASSERT_EQ(s.events_dropped, 0u);
   ASSERT_EQ(eng.total(), std::uint64_t{kThreads} * kOpsPerThread);
 
-  // An owner emits one completed PhaseExit per op, for the phase it was
-  // in when it saw the op done; the counters credit the phase that
-  // applied it. The two agree on Private, which only the owner runs, and
-  // on the total; an op helped by a combiner or a delegate is credited
-  // to the helper's phase by the counters and to the owner's waiting
-  // phase by the trace.
-  const auto private_phase = static_cast<std::size_t>(core::Phase::Private);
-  EXPECT_EQ(s.phase_completions[private_phase],
-            eng.phase_total(core::Phase::Private));
-  std::uint64_t traced_completions = 0;
+  // An owner emits one completed PhaseExit per op, naming the phase that
+  // applied it — a combiner's or delegate's for a helped op — which is
+  // the phase the counters credit, so the two agree phase by phase.
   for (int p = 0; p < core::kNumPhases; ++p) {
-    traced_completions += s.phase_completions[p];
+    EXPECT_EQ(s.phase_completions[p],
+              eng.phase_total(static_cast<core::Phase>(p)))
+        << "phase " << p;
   }
-  EXPECT_EQ(traced_completions, eng.total());
 
   for (int c = 0; c < htm::kNumAbortCodes; ++c) {
     EXPECT_EQ(s.aborts_by_code[c], tx.aborts[c]) << "abort code " << c;

@@ -99,6 +99,15 @@ compiler dependency, by design):
                          moves, so it moves only where running
                          transactions must stop (lock acquisition, combiner
                          selection of a foreign op; DESIGN.md §8.3)
+  plain-store-justification
+                         every TxCell store_plain / exchange_plain /
+                         cas_plain call in src/ must carry a '// plain:'
+                         comment (on the call's line, on its statement's
+                         first line, or in the comment block directly
+                         above either) saying why no running transaction
+                         can hold that word in its read set — a plain
+                         mutation dooms no one, so a missing strong store
+                         is a silent opacity bug (DESIGN.md §7.1, §12.1)
   lint-directive         a lint:allow / lint:allow-file directive names a
                          rule this linter does not have (typo'd
                          suppressions otherwise fail silently open)
@@ -165,6 +174,8 @@ RULES: dict[str, str] = {
     "strong-clock-writer":
         "strong_clock() is mutated only inside bump_strong_clock() "
         "in src/sim_htm/",
+    "plain-store-justification":
+        "TxCell *_plain mutations in src/ need a '// plain:' comment",
     "lint-directive":
         "suppression directives must name rules that actually exist",
 }
@@ -244,6 +255,11 @@ SCAN_LOCK_WINDOW = 10  # raw lines above the call searched for an acquisition
 COMMENT_LINE_RE = re.compile(r"^\s*//")
 
 TELEMETRY_CALL_RE = re.compile(r"\btelemetry::\w+\s*\(")
+
+# Member calls only: the definitions in sim_htm/txcell.hpp are not calls.
+PLAIN_CALL_RE = re.compile(
+    r"(?:\.|->)\s*(?:store_plain|exchange_plain|cas_plain)\s*\(")
+PLAIN_JUSTIFICATION_RE = re.compile(r"//\s*plain:")
 
 TSA_ESCAPE_RE = re.compile(r"\bNO_THREAD_SAFETY_ANALYSIS\b")
 TSA_JUSTIFICATION_RE = re.compile(r"//\s*tsa:")
@@ -541,6 +557,29 @@ class FileLinter:
                 return True
             i -= 1
         return False
+
+    def check_plain_store_justification(self) -> None:
+        if self.zone not in ("sim_htm", "mem", "core", "telemetry", "ds",
+                             "src"):
+            return
+        for m in PLAIN_CALL_RE.finditer(self.stripped):
+            line = self.line_of(m.start())
+            # A call can sit on a continuation line of its statement; the
+            # justification may then sit above the statement's first line.
+            stmt = max(self.stripped.rfind(c, 0, m.start())
+                       for c in ";{}") + 1
+            while stmt < m.start() and self.stripped[stmt].isspace():
+                stmt += 1
+            if (self.marker_adjacent(line, PLAIN_JUSTIFICATION_RE) or
+                    self.marker_adjacent(self.line_of(stmt),
+                                         PLAIN_JUSTIFICATION_RE)):
+                continue
+            self.report(
+                line, "plain-store-justification",
+                "plain TxCell mutation without an adjacent '// plain:' "
+                "comment; a plain store dooms no transaction, so each one "
+                "must say why no running transaction can hold the word in "
+                "its read set (DESIGN.md §12.1)")
 
     def check_tsa_escape_justification(self) -> None:
         for m in TSA_ESCAPE_RE.finditer(self.stripped):
@@ -860,6 +899,7 @@ class FileLinter:
         self.check_raw_atomic_in_core()
         self.check_raw_atomic_in_telemetry()
         self.check_seq_cst_justification()
+        self.check_plain_store_justification()
         self.check_tsa_escape_justification()
         self.check_scan_requires_selection_lock()
         self.check_cross_shard_lock_order()
